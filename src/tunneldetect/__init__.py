@@ -20,21 +20,18 @@ from .datagen import (
 from .evaluation import (
     MetricsReport,
     Prediction,
-    classify,
     compute_metrics,
     export_scatter,
     per_tool_breakdown,
     predict_names,
     predict_samples,
+    score,
 )
 from .model_store import load, save
 from .network import (
     DEFAULT_HYPERPARAMS,
     Hyperparams,
     ModelParams,
-    backward,
-    bce_loss,
-    forward,
     init_params,
 )
 from .tokenizer import Vocabulary, build_vocabulary, encode_domain

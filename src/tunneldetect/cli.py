@@ -10,7 +10,8 @@ Subcommands compose the library into reproducible pipelines:
 
 Every file-producing subcommand also writes `<output>.manifest.json`
 recording the resolved flags, seeds and input/output checksums, enough
-to reproduce the run bit for bit.
+to reproduce the run bit for bit with the same numpy, BLAS library and
+BLAS thread count.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data/format problem.
 """
@@ -283,7 +284,7 @@ def cmd_classify(args) -> int:
             if args.apex and not logparse.filter_apex([rec], args.apex):
                 continue
             batch.append(rec)
-            if len(batch) >= 256:
+            if len(batch) >= evaluation.SCORE_CHUNK:
                 flush()
         flush()
     finally:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .hostnames import MAX_LABEL_LEN, MAX_NAME_LEN, is_plausible_hostname, strip_trailing_dot
+from .hostnames import MAX_LABEL_LEN, has_valid_lengths, is_plausible_hostname, strip_trailing_dot
 
 LABEL_NORMAL = "normal"
 LABEL_TUNNELING = "tunneling"
@@ -78,10 +78,8 @@ class DomainSample:
             raise ValueError(f"normal sample cannot carry tool tag {self.tool!r}")
         if self.label == LABEL_TUNNELING and self.tool == TOOL_NONE:
             raise ValueError("tunneling sample requires a tool tag")
-        if not self.name or len(self.name) > MAX_NAME_LEN:
-            raise ValueError(f"bad domain name length: {self.name!r}")
-        if any(len(lbl) > MAX_LABEL_LEN or not lbl for lbl in self.name.split(".")):
-            raise ValueError(f"bad label in domain name: {self.name!r}")
+        if not has_valid_lengths(self.name):
+            raise ValueError(f"bad domain name or label length: {self.name!r}")
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,17 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .datagen import LABEL_NORMAL, LABEL_TUNNELING, DomainSample
-from .network import Hyperparams, ModelParams, forward, forward_batch
-from .tokenizer import encode_batch, encode_domain
+import numpy as np
+
+from .datagen import LABEL_NORMAL, LABEL_TUNNELING, TOOL_NONE, DomainSample
+from .network import Hyperparams, ModelParams, forward_batch
+from .tokenizer import encode_batch
 
 DEFAULT_THRESHOLD = 0.90
+
+# Names encoded and forwarded per batch, so scoring memory stays bounded
+# however many names are scored.
+SCORE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -48,21 +54,34 @@ class MetricsReport:
     total: int
 
 
-def _verdict(probability: float, threshold: float) -> str:
-    return LABEL_TUNNELING if probability >= threshold else LABEL_NORMAL
+def score(params: ModelParams, hp: Hyperparams, names: Sequence[str]) -> np.ndarray:
+    """Tunneling probability of each name, in input order.
+
+    Names are encoded and forwarded SCORE_CHUNK at a time; each row's
+    probability does not depend on how the rows are chunked.
+    """
+    probs = np.empty(len(names))
+    for start in range(0, len(names), SCORE_CHUNK):
+        chunk = names[start : start + SCORE_CHUNK]
+        probs[start : start + len(chunk)] = forward_batch(params, hp, encode_batch(chunk, hp.l))
+    return probs
 
 
-def classify(
-    params: ModelParams,
-    hp: Hyperparams,
-    name: str,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> Prediction:
-    """Score a single domain name."""
+def is_tunneling(probabilities, threshold: float) -> np.ndarray:
+    """The decision rule: True where a probability is at or above the
+    threshold, so ties resolve toward detection."""
+    return np.asarray(probabilities, dtype=np.float64) >= threshold
+
+
+def _predict(params, hp, names, threshold, samples) -> list[Prediction]:
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    p = forward(params, hp, encode_domain(name, hp.l))
-    return Prediction(name, p, _verdict(p, threshold))
+    probs = score(params, hp, names)
+    called = is_tunneling(probs, threshold)
+    return [
+        Prediction(n, float(p), LABEL_TUNNELING if c else LABEL_NORMAL, s)
+        for n, p, c, s in zip(names, probs, called, samples)
+    ]
 
 
 def predict_samples(
@@ -71,16 +90,8 @@ def predict_samples(
     samples: Sequence[DomainSample],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[Prediction]:
-    """Score a labeled corpus in one vectorized pass."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if not samples:
-        return []
-    probs = forward_batch(params, hp, encode_batch([s.name for s in samples], hp.l))
-    return [
-        Prediction(s.name, float(p), _verdict(float(p), threshold), sample=s)
-        for s, p in zip(samples, probs)
-    ]
+    """Score a labeled corpus; each prediction keeps its sample."""
+    return _predict(params, hp, [s.name for s in samples], threshold, samples)
 
 
 def predict_names(
@@ -89,21 +100,8 @@ def predict_names(
     names: Sequence[str],
     threshold: float = DEFAULT_THRESHOLD,
 ) -> list[Prediction]:
-    """Score unlabeled names in one vectorized pass."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if not names:
-        return []
-    probs = forward_batch(params, hp, encode_batch(list(names), hp.l))
-    return [Prediction(n, float(p), _verdict(float(p), threshold)) for n, p in zip(names, probs)]
-
-
-def apply_threshold(predictions: Sequence[Prediction], threshold: float) -> list[Prediction]:
-    """Re-derive verdicts from stored probabilities at a new threshold."""
-    return [
-        Prediction(p.name, p.probability, _verdict(p.probability, threshold), p.sample)
-        for p in predictions
-    ]
+    """Score unlabeled names."""
+    return _predict(params, hp, names, threshold, [None] * len(names))
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -113,13 +111,27 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _require_labels(predictions: Sequence[Prediction]) -> list[str]:
-    labels = []
-    for p in predictions:
-        if p.sample is None:
-            raise ValueError(f"prediction for {p.name!r} has no ground-truth sample")
-        labels.append(p.sample.label)
-    return labels
+def _class_metrics(tp: int, fp: int, fn: int, tn: int) -> ClassMetrics:
+    degenerate = False
+
+    def ratio(num, den):
+        nonlocal degenerate
+        if den == 0:
+            degenerate = True
+            return 0.0
+        return num / den
+
+    precision = ratio(tp, tp + fp)
+    recall = ratio(tp, tp + fn)
+    fpr = ratio(fp, fp + tn)
+    return ClassMetrics(
+        precision=precision,
+        recall=recall,
+        fpr=fpr,
+        f1=f1_score(precision, recall),
+        support=tp + fn,
+        degenerate=degenerate,
+    )
 
 
 def compute_metrics(predictions: Sequence[Prediction], threshold: float = DEFAULT_THRESHOLD) -> MetricsReport:
@@ -132,66 +144,43 @@ def compute_metrics(predictions: Sequence[Prediction], threshold: float = DEFAUL
     """
     if not predictions:
         raise ValueError("compute_metrics requires at least one prediction")
-    truths = _require_labels(predictions)
-    rethresholded = apply_threshold(predictions, threshold)
+    samples = []
+    for p in predictions:
+        if p.sample is None:
+            raise ValueError(f"prediction for {p.name!r} has no ground-truth sample")
+        samples.append(p.sample)
+    called = is_tunneling([p.probability for p in predictions], threshold)
+    truth = np.array([s.label == LABEL_TUNNELING for s in samples], dtype=bool)
 
-    per_class: dict[str, ClassMetrics] = {}
-    for positive in (LABEL_NORMAL, LABEL_TUNNELING):
-        tp = fp = fn = tn = 0
-        for p, truth in zip(rethresholded, truths):
-            is_pos = truth == positive
-            called_pos = p.predicted == positive
-            if called_pos and is_pos:
-                tp += 1
-            elif called_pos:
-                fp += 1
-            elif is_pos:
-                fn += 1
-            else:
-                tn += 1
-        degenerate = False
-
-        def ratio(num, den):
-            nonlocal degenerate
-            if den == 0:
-                degenerate = True
-                return 0.0
-            return num / den
-
-        precision = ratio(tp, tp + fp)
-        recall = ratio(tp, tp + fn)
-        fpr = ratio(fp, fp + tn)
-        per_class[positive] = ClassMetrics(
-            precision=precision,
-            recall=recall,
-            fpr=fpr,
-            f1=f1_score(precision, recall),
-            support=tp + fn,
-            degenerate=degenerate,
-        )
-
+    # one confusion count with tunneling as the positive class; the
+    # normal class is the same matrix read the other way round
+    tp = int(np.count_nonzero(called & truth))
+    fp = int(np.count_nonzero(called & ~truth))
+    fn = int(np.count_nonzero(~called & truth))
+    tn = len(predictions) - tp - fp - fn
     return MetricsReport(
         threshold=threshold,
-        per_class=per_class,
-        per_tool=per_tool_breakdown(rethresholded),
+        per_class={
+            LABEL_NORMAL: _class_metrics(tn, fn, fp, tp),
+            LABEL_TUNNELING: _class_metrics(tp, fp, fn, tn),
+        },
+        per_tool=per_tool_breakdown(samples, called),
         total=len(predictions),
     )
 
 
-def per_tool_breakdown(predictions: Sequence[Prediction]) -> dict[str, float]:
+def per_tool_breakdown(samples: Sequence[DomainSample], called: np.ndarray) -> dict[str, float]:
     """Detection rate per tunneling tool: the fraction of each tool's
-    samples whose verdict is Tunneling. Tools absent from the input are
-    absent from the map."""
-    hits: dict[str, int] = {}
-    totals: dict[str, int] = {}
-    for p in predictions:
-        if p.sample is None or p.sample.label != LABEL_TUNNELING:
+    samples whose verdict `called[i]` is Tunneling. Tools absent from
+    the input are absent from the map."""
+    tools = np.array([s.tool for s in samples])
+    rates = {}
+    for tool in np.unique(tools):
+        if tool == TOOL_NONE:
             continue
-        tool = p.sample.tool
-        totals[tool] = totals.get(tool, 0) + 1
-        if p.predicted == LABEL_TUNNELING:
-            hits[tool] = hits.get(tool, 0) + 1
-    return {tool: hits.get(tool, 0) / n for tool, n in sorted(totals.items())}
+        mine = tools == tool
+        rates[str(tool)] = int(np.count_nonzero(called[mine])) / int(np.count_nonzero(mine))
+    return rates
 
 
 def export_scatter(predictions: Iterable[Prediction], path) -> None:

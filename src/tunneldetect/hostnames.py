@@ -16,6 +16,17 @@ def strip_trailing_dot(name: str) -> str:
     return name[:-1] if name.endswith(".") else name
 
 
+def has_valid_lengths(name: str) -> bool:
+    """True if the name has 1..253 characters and every dot-separated
+    label has 1..63."""
+    if not name or len(name) > MAX_NAME_LEN:
+        return False
+    for label in name.split("."):
+        if not label or len(label) > MAX_LABEL_LEN:
+            return False
+    return True
+
+
 def is_plausible_hostname(name: str) -> bool:
     """True if the string is shaped like a queryable name.
 
@@ -25,12 +36,7 @@ def is_plausible_hostname(name: str) -> bool:
     are rejected.
     """
     name = strip_trailing_dot(name.strip())
-    if not name or len(name) > MAX_NAME_LEN:
-        return False
-    for label in name.split("."):
-        if not label or len(label) > MAX_LABEL_LEN:
-            return False
-    return all(ch in _HOSTNAME_CHARS for ch in name.lower())
+    return has_valid_lengths(name) and all(ch in _HOSTNAME_CHARS for ch in name.lower())
 
 
 def matches_apex(qname: str, apex: str) -> bool:

@@ -18,13 +18,14 @@ bitwise exact. Every corruption class raises its own error type.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
 import numpy as np
 
 from .network import Hyperparams, ModelParams, expected_shapes
-from .tokenizer import Vocabulary
+from .tokenizer import Vocabulary, build_vocabulary
 
 MAGIC = b"DNSTCNN\x01"
 VERSION = 1
@@ -54,6 +55,10 @@ class ShapeMismatchError(ModelFormatError):
     """Declared shapes disagree with the declared hyperparameters."""
 
 
+class VocabularyMismatchError(ModelFormatError):
+    """Stored vocabulary literals differ from the fixed alphabet."""
+
+
 def _pack_array(name: str, arr: np.ndarray) -> bytes:
     encoded = name.encode("ascii")
     parts = [struct.pack("<B", len(encoded)), encoded, struct.pack("<B", arr.ndim)]
@@ -64,7 +69,9 @@ def _pack_array(name: str, arr: np.ndarray) -> bytes:
 
 def save(params: ModelParams, hp: Hyperparams, vocab: Vocabulary, path) -> None:
     """Write the model file; byte output is deterministic."""
-    shapes = expected_shapes(hp, vocab.size)
+    if vocab.literals != build_vocabulary().literals:
+        raise ValueError("only the fixed alphabet can be saved; load() rejects any other")
+    shapes = expected_shapes(hp)
     for name, arr in params.arrays():
         if arr.shape != shapes[name]:
             raise ValueError(f"{name} has shape {arr.shape}, expected {shapes[name]} for these hyperparameters")
@@ -106,7 +113,12 @@ class _Cursor:
 
 
 def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
-    """Read a model file back; weights are bitwise what save() wrote."""
+    """Read a model file back; weights are bitwise what save() wrote.
+
+    Hostile bytes raise only ModelFormatError subclasses: nothing is
+    decoded strictly, and no array is built before the checksum and the
+    declared shapes hold.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -122,17 +134,13 @@ def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
         hp = Hyperparams(nf=nf, ks=ks, sl=sl, d=d, l=l, hn=hn)
     except ValueError as exc:
         raise ShapeMismatchError(f"invalid stored hyperparameters: {exc}") from None
-    literals = cur.take(cur.u32()).decode("utf-8")
-    vocab = Vocabulary(literals)
+    literals = cur.take(cur.u32())
 
-    arrays: dict[str, np.ndarray] = {}
+    blocks: dict[str, tuple[tuple[int, ...], bytes]] = {}
     for _ in range(cur.u32()):
-        name = cur.take(cur.u8()).decode("ascii")
-        ndim = cur.u8()
-        shape = tuple(cur.u32() for _ in range(ndim))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = cur.take(count * 8)
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        name = cur.take(cur.u8()).decode("ascii", "replace")
+        shape = tuple(cur.u32() for _ in range(cur.u8()))
+        blocks[name] = shape, cur.take(math.prod(shape) * 8)
 
     body_end = cur.pos
     stored = cur.u32()
@@ -141,15 +149,21 @@ def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
     if stored != zlib.crc32(data[:body_end]):
         raise ChecksumError(f"checksum mismatch in {path}")
 
-    shapes = expected_shapes(hp, vocab.size)
-    if set(arrays) != set(shapes):
-        raise ShapeMismatchError(
-            f"weight blocks {sorted(arrays)} do not match expected {sorted(shapes)}"
+    vocab = build_vocabulary()
+    if literals != vocab.literals.encode("utf-8"):
+        raise VocabularyMismatchError(
+            f"stored vocabulary {literals!r} differs from the fixed alphabet {vocab.literals!r}"
         )
+    shapes = expected_shapes(hp)
+    if set(blocks) != set(shapes):
+        raise ShapeMismatchError(
+            f"weight blocks {sorted(blocks)} do not match expected {sorted(shapes)}"
+        )
+    arrays = {}
     for name, want in shapes.items():
-        if arrays[name].shape != want:
-            raise ShapeMismatchError(
-                f"{name} stored as {arrays[name].shape}, hyperparameters imply {want}"
-            )
+        shape, raw = blocks[name]
+        if shape != want:
+            raise ShapeMismatchError(f"{name} stored as {shape}, hyperparameters imply {want}")
+        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
     return ModelParams(**arrays), hp, vocab

@@ -88,9 +88,6 @@ class ModelParams:
         return cls(*(np.zeros_like(getattr(other, n)) for n in cls.FIELD_ORDER))
 
 
-Gradients = ModelParams
-
-
 def expected_shapes(hp: Hyperparams, vocab_size: int = VOCAB_SIZE) -> dict[str, tuple[int, ...]]:
     """Shape of every weight block for a given configuration."""
     return {
@@ -128,13 +125,6 @@ def init_params(hp: Hyperparams, seed: int, vocab_size: int = VOCAB_SIZE) -> Mod
     )
 
 
-def _check_input(hp: Hyperparams, x: np.ndarray, what: str = "input") -> np.ndarray:
-    x = np.asarray(x)
-    if x.shape[-1] != hp.l:
-        raise ValueError(f"{what} length {x.shape[-1]} does not match sequence length {hp.l}")
-    return x
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Overflow-free logistic function."""
     out = np.empty_like(z)
@@ -151,13 +141,15 @@ def _im2col(emb: np.ndarray, ks: int, sl: int) -> np.ndarray:
     win = np.lib.stride_tricks.sliding_window_view(emb, ks, axis=1)
     win = win[:, ::sl]
     return np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(
-        emb.shape[0], -1, ks * emb.shape[2]
+        emb.shape[0], win.shape[1], ks * emb.shape[2]
     )
 
 
 def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     """Batched forward pass keeping every activation needed by backward."""
-    xb = _check_input(hp, np.atleast_2d(x_batch))
+    xb = np.atleast_2d(np.asarray(x_batch))
+    if xb.shape[-1] != hp.l:
+        raise ValueError(f"input length {xb.shape[-1]} does not match sequence length {hp.l}")
     batch = xb.shape[0]
 
     emb = params.embedding[xb]                      # (B, l, d)
@@ -181,28 +173,15 @@ def forward_batch(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray) -> 
     return p
 
 
-def forward(params: ModelParams, hp: Hyperparams, x: np.ndarray) -> float:
-    """Tunneling probability in (0, 1) for a single index sequence."""
-    x = _check_input(hp, np.asarray(x), "sequence")
-    if x.ndim != 1:
-        raise ValueError(f"expected a single sequence, got shape {x.shape}")
-    return float(forward_batch(params, hp, x[None, :])[0])
-
-
-def bce_loss(p: float, y: int) -> float:
-    """Binary cross-entropy with the probability clamped away from 0 and 1."""
-    p = min(max(float(p), BCE_EPS), 1.0 - BCE_EPS)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
 def _mean_bce(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy with probabilities clamped away from 0 and 1."""
     pc = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
     return float(np.mean(-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))))
 
 
 def backward_batch(
     params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, y_batch: np.ndarray
-) -> tuple[Gradients, float]:
+) -> tuple[ModelParams, float]:
     """Gradients of the mean BCE loss over an encoded batch.
 
     Sigmoid and BCE are fused analytically (dL/dz = p - y), so the
@@ -219,7 +198,7 @@ def backward_batch(
     batch = xb.shape[0]
     loss = _mean_bce(p, yb)
 
-    g = Gradients.zeros_like(params)
+    g = ModelParams.zeros_like(params)
 
     dz2 = (p - yb) / batch                              # (B,)
     g.dense2_w[:] = cache["a1"].T @ dz2
@@ -252,13 +231,3 @@ def backward_batch(
     np.add.at(g.embedding, cache["x"].reshape(-1), demb.reshape(-1, hp.d))
 
     return g, loss
-
-
-def backward(params: ModelParams, hp: Hyperparams, batch) -> tuple[Gradients, float]:
-    """Gradients of the mean loss over a batch of (sequence, label) pairs."""
-    pairs = list(batch)
-    if not pairs:
-        raise ValueError("backward requires a nonempty batch")
-    xb = np.stack([np.asarray(x) for x, _ in pairs])
-    yb = np.array([y for _, y in pairs], dtype=np.float64)
-    return backward_batch(params, hp, xb, yb)

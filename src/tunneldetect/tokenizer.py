@@ -52,12 +52,15 @@ class Vocabulary:
         return self.literals[index - 2]
 
 
+_VOCAB = Vocabulary(_LITERALS)
+
+
 def build_vocabulary() -> Vocabulary:
     """Return the fixed alphabet: PAD, OOV, a-z, 0-9, '-._=+/~' (45 entries)."""
-    return Vocabulary(_LITERALS)
+    return _VOCAB
 
 
-def encode_domain(name: str, length: int, vocab: Vocabulary | None = None) -> np.ndarray:
+def encode_domain(name: str, length: int) -> np.ndarray:
     """Encode a domain name as ``length`` vocabulary indices.
 
     The name is lowercased, the first ``length`` characters are mapped to
@@ -67,36 +70,30 @@ def encode_domain(name: str, length: int, vocab: Vocabulary | None = None) -> np
     """
     if length < 1:
         raise ValueError(f"sequence length must be >= 1, got {length}")
-    if vocab is None:
-        vocab = build_vocabulary()
     out = np.full(length, PAD_IDX, dtype=np.int64)
     for i, ch in enumerate(name.lower()[:length]):
-        out[i] = vocab.lookup(ch)
+        out[i] = _VOCAB.lookup(ch)
     return out
 
 
-def encode_batch(names: list[str], length: int, vocab: Vocabulary | None = None) -> np.ndarray:
+def encode_batch(names: list[str], length: int) -> np.ndarray:
     """Encode many names into an (n, length) int64 array."""
-    if vocab is None:
-        vocab = build_vocabulary()
     batch = np.full((len(names), length), PAD_IDX, dtype=np.int64)
     for i, name in enumerate(names):
-        batch[i] = encode_domain(name, length, vocab)
+        batch[i] = encode_domain(name, length)
     return batch
 
 
-def decode_indices(indices, vocab: Vocabulary | None = None) -> str:
+def decode_indices(indices) -> str:
     """Best-effort inverse of encode_domain, for debugging.
 
     Stops at the first PAD; OOV decodes to '?' (itself not a literal, so
     re-encoding a decoded string reproduces the same indices).
     """
-    if vocab is None:
-        vocab = build_vocabulary()
     chars = []
     for idx in indices:
         if idx == PAD_IDX:
             break
-        ch = vocab.char_at(int(idx))
+        ch = _VOCAB.char_at(int(idx))
         chars.append("?" if ch is None else ch)
     return "".join(chars)

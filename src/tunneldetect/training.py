@@ -12,7 +12,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .datagen import LABEL_TUNNELING, DomainSample
-from .network import Hyperparams, ModelParams, backward_batch, forward_batch, init_params
+from .evaluation import compute_metrics, predict_samples
+from .network import Hyperparams, ModelParams, backward_batch, init_params
 from .tokenizer import VOCAB_SIZE, encode_batch
 
 
@@ -146,19 +147,6 @@ def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[list[int]
     return folds
 
 
-def _tunneling_f1(y_true: np.ndarray, probs: np.ndarray, threshold: float = 0.5) -> float:
-    pred = probs >= threshold
-    actual = y_true >= 0.5
-    tp = int(np.sum(pred & actual))
-    fp = int(np.sum(pred & ~actual))
-    fn = int(np.sum(~pred & actual))
-    if tp == 0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2.0 * precision * recall / (precision + recall)
-
-
 def kfold_cross_validate(
     dataset: Sequence[DomainSample],
     hp: Hyperparams,
@@ -174,9 +162,8 @@ def kfold_cross_validate(
         val_set = set(held_out)
         train_split = [s for i, s in enumerate(dataset) if i not in val_set]
         params = train(train_split, hp, cfg)
-        x_val, y_val = _encode_dataset([dataset[i] for i in held_out], hp)
-        probs = forward_batch(params, hp, x_val)
-        scores.append(_tunneling_f1(y_val, probs))
+        preds = predict_samples(params, hp, [dataset[i] for i in held_out], 0.5)
+        scores.append(compute_metrics(preds, 0.5).per_class[LABEL_TUNNELING].f1)
     scores = np.array(scores)
     return float(scores.mean()), float(scores.std())
 

@@ -15,8 +15,8 @@ from tunneldetect import datagen
 from tunneldetect.cli import main
 from tunneldetect.datagen import LABEL_NORMAL, LABEL_TUNNELING
 from tunneldetect.evaluation import (
-    apply_threshold,
     compute_metrics,
+    is_tunneling,
     predict_samples,
 )
 from tunneldetect.model_store import (
@@ -157,9 +157,8 @@ def test_criterion_5_threshold_monotonicity():
         previous = None
         previous_recall = None
         for t in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
-            detected = frozenset(
-                p.name for p in apply_threshold(preds, t) if p.predicted == LABEL_TUNNELING
-            )
+            called = is_tunneling([p.probability for p in preds], t)
+            detected = frozenset(p.name for p, c in zip(preds, called) if c)
             recall = compute_metrics(preds, t).per_class[LABEL_TUNNELING].recall
             if previous is not None:
                 assert detected <= previous

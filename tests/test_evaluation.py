@@ -5,17 +5,19 @@ import pytest
 
 from tunneldetect.datagen import LABEL_NORMAL, LABEL_TUNNELING, DomainSample
 from tunneldetect.evaluation import (
+    SCORE_CHUNK,
     Prediction,
-    apply_threshold,
-    classify,
     compute_metrics,
     export_scatter,
     f1_score,
+    is_tunneling,
     per_tool_breakdown,
     predict_names,
     predict_samples,
+    score,
 )
-from tunneldetect.network import ModelParams, init_params
+from tunneldetect.network import ModelParams, forward_batch, init_params
+from tunneldetect.tokenizer import encode_batch
 
 from oracles import recount_metrics
 
@@ -38,31 +40,53 @@ def random_prediction_set(rng, n=None):
     ]
 
 
+def detected_names(preds, threshold):
+    """Names called Tunneling at `threshold` by the decision rule."""
+    called = is_tunneling([p.probability for p in preds], threshold)
+    return {p.name for p, c in zip(preds, called) if c}
+
+
+class TestScore:
+    @pytest.mark.parametrize("n", [0, 1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 600])
+    def test_chunked_equals_one_batch(self, tiny_hp, tiny_model, n):
+        names = [f"q{i}x{i * 7919 % 1000}.example{i % 3}.com" for i in range(n)]
+        got = score(tiny_model, tiny_hp, names)
+        want = forward_batch(tiny_model, tiny_hp, encode_batch(names, tiny_hp.l))
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(got, want)
+
+
 class TestClassify:
+    """Single names through predict_names."""
+
     def test_zero_weight_model_is_normal_at_high_threshold(self, tiny_hp, tiny_model):
         zero = ModelParams.zeros_like(tiny_model)
-        pred = classify(zero, tiny_hp, "example.com", threshold=0.90)
+        [pred] = predict_names(zero, tiny_hp, ["example.com"], threshold=0.90)
         assert pred.probability == 0.5
         assert pred.predicted == LABEL_NORMAL
 
     def test_boundary_resolves_toward_detection(self, tiny_hp, tiny_model):
         zero = ModelParams.zeros_like(tiny_model)
-        pred = classify(zero, tiny_hp, "example.com", threshold=0.5)
+        [pred] = predict_names(zero, tiny_hp, ["example.com"], threshold=0.5)
         assert pred.probability == 0.5
         assert pred.predicted == LABEL_TUNNELING  # p == threshold
 
     def test_invalid_threshold_rejected(self, tiny_hp, tiny_model):
-        with pytest.raises(ValueError):
-            classify(tiny_model, tiny_hp, "example.com", threshold=0.0)
+        sample = DomainSample("example.com", LABEL_NORMAL)
+        for threshold in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                predict_names(tiny_model, tiny_hp, ["example.com"], threshold=threshold)
+            with pytest.raises(ValueError):
+                predict_samples(tiny_model, tiny_hp, [sample], threshold=threshold)
 
-    def test_predict_samples_matches_classify(self, tiny_hp, tiny_model):
+    def test_predict_samples_matches_predict_names(self, tiny_hp, tiny_model):
         samples = [
             DomainSample("aaa.com", LABEL_NORMAL),
             DomainSample("deadbeef00.evil.example", LABEL_TUNNELING, "dnscat2"),
         ]
         preds = predict_samples(tiny_model, tiny_hp, samples, 0.9)
         for s, p in zip(samples, preds):
-            single = classify(tiny_model, tiny_hp, s.name, 0.9)
+            [single] = predict_names(tiny_model, tiny_hp, [s.name], 0.9)
             assert p.probability == single.probability
             assert p.predicted == single.predicted
             assert p.sample is s
@@ -73,19 +97,17 @@ class TestClassify:
 
 
 class TestApplyThreshold:
+    """The decision rule, is_tunneling."""
+
     def test_boundary_rule(self):
-        preds = [make_prediction(p, "t") for p in (0.899, 0.90, 0.901)]
-        at_90 = apply_threshold(preds, 0.90)
-        assert [p.predicted for p in at_90] == [LABEL_NORMAL, LABEL_TUNNELING, LABEL_TUNNELING]
+        assert is_tunneling([0.899, 0.90, 0.901], 0.90).tolist() == [False, True, True]
 
     def test_raising_threshold_shrinks_detected_set(self):
         rng = np.random.default_rng(0)
         preds = random_prediction_set(rng, 200)
         previous = None
         for t in np.arange(0.1, 0.95, 0.1):
-            detected = {
-                p.name for p in apply_threshold(preds, float(t)) if p.predicted == LABEL_TUNNELING
-            }
+            detected = detected_names(preds, float(t))
             if previous is not None:
                 assert detected <= previous
             previous = detected
@@ -197,14 +219,20 @@ class TestComputeMetrics:
             compute_metrics([Prediction("x.com", 0.5, LABEL_NORMAL)], 0.5)
 
 
+def breakdown(preds):
+    """per_tool_breakdown over the verdicts stored in the predictions."""
+    called = np.array([p.predicted == LABEL_TUNNELING for p in preds])
+    return per_tool_breakdown([p.sample for p in preds], called)
+
+
 class TestPerToolBreakdown:
     def test_all_detected_tool_rate_one(self):
         preds = [make_prediction(0.95, "t", tool="dnscat2") for _ in range(5)]
-        assert per_tool_breakdown(preds) == {"dnscat2": 1.0}
+        assert breakdown(preds) == {"dnscat2": 1.0}
 
     def test_absent_tool_omitted(self):
         preds = [make_prediction(0.95, "t", tool="iodine"), make_prediction(0.1, "n")]
-        rates = per_tool_breakdown(preds)
+        rates = breakdown(preds)
         assert "dnscat2" not in rates
         assert rates == {"iodine": 1.0}
 
@@ -214,7 +242,7 @@ class TestPerToolBreakdown:
             + [make_prediction(0.05, "t", tool="iodine")]
             + [make_prediction(0.95, "t", tool="dnscat2")]
         )
-        rates = per_tool_breakdown(preds)
+        rates = breakdown(preds)
         assert rates["iodine"] == pytest.approx(0.75)
         assert rates["dnscat2"] == 1.0
 

@@ -12,11 +12,12 @@ from tunneldetect.model_store import (
     ShapeMismatchError,
     TruncatedModelError,
     UnsupportedVersionError,
+    VocabularyMismatchError,
     load,
     save,
 )
 from tunneldetect.network import Hyperparams, forward_batch, init_params
-from tunneldetect.tokenizer import build_vocabulary
+from tunneldetect.tokenizer import Vocabulary, build_vocabulary
 
 
 @pytest.fixture
@@ -25,6 +26,9 @@ def saved_model(tmp_path, tiny_hp):
     path = tmp_path / "model.bin"
     save(params, tiny_hp, build_vocabulary(), path)
     return params, tiny_hp, path
+
+
+LITERALS_OFFSET = len(MAGIC) + 4 + 6 * 4 + 4  # magic, version, hyperparameters, literal length
 
 
 def _rewrite_with_checksum(path, body: bytes):
@@ -64,6 +68,13 @@ class TestRoundtrip:
                             d=tiny_hp.d, l=tiny_hp.l, hn=tiny_hp.hn)
         with pytest.raises(ValueError, match="shape"):
             save(params, other, build_vocabulary(), tmp_path / "bad.bin")
+
+
+    def test_save_rejects_foreign_vocabulary(self, tmp_path, tiny_hp):
+        params = init_params(tiny_hp, seed=3)
+        reversed_vocab = Vocabulary(build_vocabulary().literals[::-1])
+        with pytest.raises(ValueError, match="alphabet"):
+            save(params, tiny_hp, reversed_vocab, tmp_path / "bad.bin")
 
 
 class TestCorruption:
@@ -126,4 +137,39 @@ class TestCorruption:
         with open(path, "ab") as fh:
             fh.write(b"extra")
         with pytest.raises(ModelFormatError):
+            load(path)
+
+    def test_every_single_bit_flip_is_a_format_error(self, tmp_path):
+        hp = Hyperparams(nf=1, ks=1, sl=1, d=1, l=1, hn=1)
+        path = tmp_path / "smallest.bin"
+        save(init_params(hp, seed=1), hp, build_vocabulary(), path)
+        blob = path.read_bytes()
+        for offset in range(len(blob)):
+            for bit in range(8):
+                corrupt = bytearray(blob)
+                corrupt[offset] ^= 1 << bit
+                path.write_bytes(bytes(corrupt))
+                with pytest.raises(ModelFormatError):
+                    load(path)
+
+    def test_overflowing_dims_report_truncation(self, saved_model):
+        _, _, path = saved_model
+        data = bytearray(path.read_bytes())
+        literals = build_vocabulary().literals.encode("utf-8")
+        # first block: u32 block count, u8 name length, "embedding", u8 ndim, dims
+        dims_offset = LITERALS_OFFSET + len(literals) + 4 + 1 + len(b"embedding") + 1
+        assert data[dims_offset - 1] == 2
+        struct.pack_into("<2I", data, dims_offset, 0xFFFFFFFF, 0xFFFFFFFF)
+        _rewrite_with_checksum(path, bytes(data[:-4]))
+        with pytest.raises(TruncatedModelError):
+            load(path)
+
+    def test_foreign_vocabulary_rejected(self, saved_model):
+        _, _, path = saved_model
+        data = bytearray(path.read_bytes())
+        literals = build_vocabulary().literals.encode("utf-8")
+        assert data[LITERALS_OFFSET : LITERALS_OFFSET + len(literals)] == literals
+        data[LITERALS_OFFSET : LITERALS_OFFSET + len(literals)] = literals[::-1]
+        _rewrite_with_checksum(path, bytes(data[:-4]))
+        with pytest.raises(VocabularyMismatchError):
             load(path)

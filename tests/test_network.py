@@ -7,15 +7,13 @@ from tunneldetect.network import (
     DEFAULT_HYPERPARAMS,
     Hyperparams,
     ModelParams,
-    backward,
+    _mean_bce,
     backward_batch,
-    bce_loss,
     expected_shapes,
-    forward,
     forward_batch,
     init_params,
 )
-from tunneldetect.tokenizer import encode_domain
+from tunneldetect.tokenizer import encode_batch, encode_domain
 
 from oracles import (
     GRADCHECK_CASES,
@@ -82,10 +80,12 @@ class TestInitParams:
 
 
 class TestForward:
+    """Single rows through forward_batch: a (1, l) batch per sequence."""
+
     def test_zero_weights_give_half(self, tiny_hp, tiny_model):
         zero = ModelParams.zeros_like(tiny_model)
-        x = encode_domain("abcdef.com", tiny_hp.l)
-        assert forward(zero, tiny_hp, x) == 0.5
+        x = encode_batch(["abcdef.com"], tiny_hp.l)
+        assert forward_batch(zero, tiny_hp, x)[0] == 0.5
 
     def test_matches_naive_reference(self, tiny_hp):
         rng = np.random.default_rng(10)
@@ -95,13 +95,15 @@ class TestForward:
             params.conv_b[:] = rng.normal(0, 0.3, size=params.conv_b.shape)
             params.dense1_b[:] = rng.normal(0, 0.3, size=params.dense1_b.shape)
             x = rng.integers(0, 45, size=tiny_hp.l)
-            got = forward(params, tiny_hp, x)
+            got = forward_batch(params, tiny_hp, x[None, :])[0]
             want = naive_forward(params, tiny_hp, x)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_deterministic_bitwise(self, tiny_hp, tiny_model):
-        x = encode_domain("payload123.example.com", tiny_hp.l)
-        assert forward(tiny_model, tiny_hp, x) == forward(tiny_model, tiny_hp, x)
+        x = encode_batch(["payload123.example.com"], tiny_hp.l)
+        np.testing.assert_array_equal(
+            forward_batch(tiny_model, tiny_hp, x), forward_batch(tiny_model, tiny_hp, x)
+        )
 
     def test_probability_in_open_interval(self, tiny_hp):
         rng = np.random.default_rng(11)
@@ -116,55 +118,61 @@ class TestForward:
 
     def test_length_mismatch_raises(self, tiny_hp, tiny_model):
         with pytest.raises(ValueError, match="length"):
-            forward(tiny_model, tiny_hp, np.zeros(tiny_hp.l + 1, dtype=np.int64))
+            forward_batch(tiny_model, tiny_hp, np.zeros((1, tiny_hp.l + 1), dtype=np.int64))
 
     def test_batch_matches_single(self, tiny_hp, tiny_model):
         rng = np.random.default_rng(12)
         x = rng.integers(0, 45, size=(8, tiny_hp.l))
         batch_p = forward_batch(tiny_model, tiny_hp, x)
         for i in range(8):
-            assert batch_p[i] == forward(tiny_model, tiny_hp, x[i])
+            assert batch_p[i] == forward_batch(tiny_model, tiny_hp, x[i : i + 1])[0]
+
+
+def _bce(p, y):
+    return _mean_bce(np.array([p]), np.array([float(y)]))
 
 
 class TestBceLoss:
+    """_mean_bce on single predictions."""
+
     def test_half_prediction(self):
-        assert bce_loss(0.5, 1) == pytest.approx(math.log(2), rel=1e-12)
+        assert _bce(0.5, 1) == pytest.approx(math.log(2), rel=1e-12)
 
     def test_near_perfect(self):
-        assert bce_loss(1 - 1e-7, 1) == pytest.approx(1e-7, rel=1e-3)
+        assert _bce(1 - 1e-7, 1) == pytest.approx(1e-7, rel=1e-3)
 
     def test_confident_wrong(self):
-        assert bce_loss(0.9, 0) == pytest.approx(-math.log(0.1), rel=1e-12)
+        assert _bce(0.9, 0) == pytest.approx(-math.log(0.1), rel=1e-12)
 
     def test_clamped_at_extremes(self):
-        assert math.isfinite(bce_loss(0.0, 1))
-        assert math.isfinite(bce_loss(1.0, 0))
+        assert math.isfinite(_bce(0.0, 1))
+        assert math.isfinite(_bce(1.0, 0))
 
 
 class TestBackward:
     def test_unreferenced_embedding_row_gets_zero_gradient(self, tiny_hp):
         params = init_params(tiny_hp, 2)
-        x = np.full(tiny_hp.l, 2, dtype=np.int64)  # only index 2 used
-        grads, _ = backward(params, tiny_hp, [(x, 1)])
+        x = np.full((1, tiny_hp.l), 2, dtype=np.int64)  # only index 2 used
+        grads, _ = backward_batch(params, tiny_hp, x, np.array([1.0]))
         assert not grads.embedding[7].any()
         assert grads.embedding[2].any()
 
     def test_duplicate_batch_equals_single(self, tiny_hp):
         params = init_params(tiny_hp, 3)
         x = encode_domain("abc123.example.com", tiny_hp.l)
-        g1, l1 = backward(params, tiny_hp, [(x, 1)])
-        g2, l2 = backward(params, tiny_hp, [(x, 1), (x, 1)])
+        g1, l1 = backward_batch(params, tiny_hp, x[None, :], np.array([1.0]))
+        g2, l2 = backward_batch(params, tiny_hp, np.stack([x, x]), np.array([1.0, 1.0]))
         assert l1 == pytest.approx(l2, rel=1e-12)
         for (name, a), (_, b) in zip(g1.arrays(), g2.arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-12, err_msg=name)
 
     def test_empty_batch_raises(self, tiny_hp, tiny_model):
         with pytest.raises(ValueError, match="nonempty"):
-            backward(tiny_model, tiny_hp, [])
+            backward_batch(tiny_model, tiny_hp, np.zeros((0, tiny_hp.l), dtype=np.int64), np.zeros(0))
 
     def test_gradient_shapes_match_params(self, tiny_hp, tiny_model):
-        x = encode_domain("test.org", tiny_hp.l)
-        grads, _ = backward(tiny_model, tiny_hp, [(x, 0)])
+        x = encode_batch(["test.org"], tiny_hp.l)
+        grads, _ = backward_batch(tiny_model, tiny_hp, x, np.array([0.0]))
         for (name, g), (_, p) in zip(grads.arrays(), tiny_model.arrays()):
             assert g.shape == p.shape, name
 
@@ -172,8 +180,8 @@ class TestBackward:
         # a filter whose activations are all clamped to zero cannot move
         params = init_params(tiny_hp, 4)
         params.conv_b[0] = -1e6
-        x = np.arange(tiny_hp.l, dtype=np.int64) % 45
-        grads, _ = backward(params, tiny_hp, [(x, 1)])
+        x = np.arange(tiny_hp.l, dtype=np.int64)[None, :] % 45
+        grads, _ = backward_batch(params, tiny_hp, x, np.array([1.0]))
         assert not grads.conv_w[:, :, 0].any()
         assert grads.conv_b[0] == 0.0
 
@@ -187,10 +195,10 @@ class TestBackward:
         assert gradient_relative_error(analytic, numeric) < 1e-4
 
     def test_loss_matches_mean_bce(self, tiny_hp, tiny_model):
-        xs = [encode_domain(n, tiny_hp.l) for n in ("aaa.com", "zzz999.net")]
-        probs = [forward(tiny_model, tiny_hp, x) for x in xs]
-        _, loss = backward(tiny_model, tiny_hp, [(xs[0], 0), (xs[1], 1)])
-        want = (bce_loss(probs[0], 0) + bce_loss(probs[1], 1)) / 2
+        x = encode_batch(["aaa.com", "zzz999.net"], tiny_hp.l)
+        probs = forward_batch(tiny_model, tiny_hp, x)
+        _, loss = backward_batch(tiny_model, tiny_hp, x, np.array([0.0, 1.0]))
+        want = -(math.log(1.0 - probs[0]) + math.log(probs[1])) / 2
         assert loss == pytest.approx(want, rel=1e-12)
 
 
