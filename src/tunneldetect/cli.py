@@ -25,13 +25,18 @@ import sys
 
 from . import __version__
 from . import datagen, evaluation, logparse, model_store, training
+from .datagen import LABEL_NORMAL, LABEL_TUNNELING
 from .network import DEFAULT_HYPERPARAMS, Hyperparams
-from .tokenizer import build_vocabulary
+from .tokenizer import build_vocabulary, encoding_key
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_DATA = 4
+
+# Most encoding keys `classify` keeps probabilities for in one run:
+# 2**16 keys of 45 characters (the reference l) take about 10 MB.
+NAME_CACHE_SIZE = 2**16
 
 
 def _sha256_file(path) -> str:
@@ -254,6 +259,31 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _cached_probabilities(params, hp, names, cache: dict) -> tuple[list[float], int]:
+    """Probabilities of `names` in input order, and how many names were
+    forwarded.
+
+    `cache` maps encoding keys (what the tokenizer sees of a name) to
+    probabilities, least recently used first. One name per key the cache
+    lacks is scored; names with equal keys encode to identical rows, so
+    the result equals scoring every name. The cache is then cut back to
+    NAME_CACHE_SIZE keys.
+    """
+    keys = [encoding_key(name, hp.l) for name in names]
+    missing: dict[str, str] = {}  # key -> first name with it
+    for key, name in zip(keys, names):
+        if key in cache:
+            cache[key] = cache.pop(key)  # now most recently used
+        elif key not in missing:
+            missing[key] = name
+    for key, p in zip(missing, evaluation.score(params, hp, list(missing.values()))):
+        cache[key] = float(p)
+    probs = [cache[key] for key in keys]
+    while len(cache) > NAME_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    return probs, len(missing)
+
+
 def cmd_classify(args) -> int:
     params, hp, _vocab = model_store.load(args.model)
 
@@ -263,17 +293,20 @@ def cmd_classify(args) -> int:
     else:
         close = open(args.input, "r", encoding="utf-8", errors="replace")
         lines = close
-    skipped = 0
-    batch: list[logparse.LogRecord] = []
+    skipped = filtered = scored = forwarded = 0
+    cache: dict[str, float] = {}
+    batch: list[str] = []
     try:
         def flush():
+            nonlocal scored, forwarded
             if not batch:
                 return
-            preds = evaluation.predict_names(
-                params, hp, [r.qname for r in batch], args.threshold
-            )
-            for pred in preds:
-                print(f"{pred.name}\t{pred.probability:.6f}\t{pred.predicted}")
+            probs, fresh = _cached_probabilities(params, hp, batch, cache)
+            called = evaluation.is_tunneling(probs, args.threshold)
+            for name, p, c in zip(batch, probs, called):
+                print(f"{name}\t{p:.6f}\t{LABEL_TUNNELING if c else LABEL_NORMAL}")
+            scored += len(batch)
+            forwarded += fresh
             batch.clear()
 
         for lineno, line in enumerate(lines, start=1):
@@ -282,8 +315,9 @@ def cmd_classify(args) -> int:
                 skipped += 1
                 continue
             if args.apex and not logparse.filter_apex([rec], args.apex):
+                filtered += 1
                 continue
-            batch.append(rec)
+            batch.append(rec.qname)
             if len(batch) >= evaluation.SCORE_CHUNK:
                 flush()
         flush()
@@ -292,6 +326,10 @@ def cmd_classify(args) -> int:
             close.close()
     if skipped:
         print(f"skipped {skipped} unparseable lines", file=sys.stderr)
+    note = f"names scored: {scored}, distinct names forwarded: {forwarded}"
+    if args.apex:
+        note += f", names outside --apex: {filtered}"
+    print(note, file=sys.stderr)
     return EXIT_OK
 
 

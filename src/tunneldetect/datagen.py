@@ -447,21 +447,40 @@ def write_corpus(samples: Iterable[DomainSample], path) -> None:
             writer.writerow([s.name, s.label, s.tool, s.origin])
 
 
+def _undecodable_line(path) -> int | None:
+    """Line number of the first byte of `path` that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return None
+
+
 def read_corpus(path) -> list[DomainSample]:
+    """Samples of a corpus CSV. Any malformed content (invalid UTF-8, a
+    CSV syntax error, a bad header or row) raises ValueError naming the
+    file, and the line for everything but the header."""
     samples = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"bad corpus header in {path}: {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            name, label, tool, origin = (f.strip() for f in row)
-            try:
-                samples.append(DomainSample(name, label.lower(), tool.lower(), origin.lower()))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != CSV_HEADER:
+                raise ValueError(f"bad corpus header in {path}: {header!r}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 4:
+                    raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
+                name, label, tool, origin = (f.strip() for f in row)
+                try:
+                    samples.append(DomainSample(name, label.lower(), tool.lower(), origin.lower()))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}:{_undecodable_line(path)}: invalid UTF-8: {exc.reason}") from None
     return samples

@@ -154,8 +154,11 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
 
     emb = params.embedding[xb]                      # (B, l, d)
     windows = _im2col(emb, hp.ks, hp.sl)            # (B, P, ks*d)
-    w_flat = params.conv_w.reshape(hp.ks * hp.d, hp.nf)
-    zc = windows @ w_flat + params.conv_b           # (B, P, nf)
+    kd = hp.ks * hp.d
+    # one 2-D GEMM over all B*P windows, the layout backward_batch uses
+    zc = (windows.reshape(-1, kd) @ params.conv_w.reshape(kd, hp.nf)).reshape(
+        batch, hp.conv_out_len, hp.nf
+    ) + params.conv_b                               # (B, P, nf)
     ac = np.maximum(zc, 0.0)
     flat = ac.reshape(batch, hp.flat_width)         # position-major, filter-minor
     z1 = flat @ params.dense1_w + params.dense1_b   # (B, hn)

@@ -60,6 +60,13 @@ def build_vocabulary() -> Vocabulary:
     return _VOCAB
 
 
+def encoding_key(name: str, length: int) -> str:
+    """The characters of ``name`` that encode_domain maps to indices: the
+    name lowercased, then its first ``length`` characters. Names with
+    equal keys encode to identical rows."""
+    return name.lower()[:length]
+
+
 def encode_domain(name: str, length: int) -> np.ndarray:
     """Encode a domain name as ``length`` vocabulary indices.
 
@@ -71,7 +78,7 @@ def encode_domain(name: str, length: int) -> np.ndarray:
     if length < 1:
         raise ValueError(f"sequence length must be >= 1, got {length}")
     out = np.full(length, PAD_IDX, dtype=np.int64)
-    for i, ch in enumerate(name.lower()[:length]):
+    for i, ch in enumerate(encoding_key(name, length)):
         out[i] = _VOCAB.lookup(ch)
     return out
 

@@ -1,11 +1,13 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
-from tunneldetect import datagen
+from tunneldetect import cli, datagen, evaluation
 from tunneldetect.cli import main
 from tunneldetect.model_store import load
+from tunneldetect.tokenizer import encoding_key
 from tunneldetect.training import TrainConfig, kfold_cross_validate
 
 from conftest import make_separable_corpus
@@ -133,6 +135,21 @@ class TestEvaluate:
         rc = main(["evaluate", "--model", str(toy_model_file), "--corpus", str(toy_corpus_file)])
         assert rc == 4
 
+    @pytest.mark.parametrize("body", [
+        "foo.com,normal,none,x\n" + "a" * 200_000 + ",normal,none,x\n",
+        b"foo.com,normal,none,x\n\xff\xfe.com,normal,none,x\n",
+    ], ids=["oversize-field", "invalid-utf8"])
+    def test_malformed_corpus_csv_is_data_error(self, tmp_path, toy_model_file, body, capsys):
+        bad = tmp_path / "bad.csv"
+        head = "name,label,tool,origin\n"
+        if isinstance(body, bytes):
+            bad.write_bytes(head.encode() + body)
+        else:
+            bad.write_text(head + body)
+        rc = main(["evaluate", "--model", str(toy_model_file), "--corpus", str(bad)])
+        assert rc == 4
+        assert f"{bad}:3:" in capsys.readouterr().err
+
     def test_threshold_out_of_range_is_usage_error(self, toy_corpus_file, toy_model_file):
         with pytest.raises(SystemExit) as exc:
             main(["evaluate", "--model", str(toy_model_file),
@@ -169,6 +186,84 @@ class TestClassify:
         assert len(lines) == 1
         assert lines[0].startswith("zzzz.evil.example\t")
         assert "skipped 1" in captured.err
+        assert "names outside --apex: 1" in captured.err
+
+
+def write_repetitive_log(path, hp_l):
+    """A dnsmasq log of more than SCORE_CHUNK accepted lines: repeated
+    names, 0x20 mixed-case variants, two names equal in their first hp_l
+    characters, and unparseable lines. Returns the accepted qnames."""
+    rng = np.random.default_rng(21)
+    pool = [f"host{i}.example.com" for i in range(40)]
+    pool += ["z" * hp_l + ".one.example", "z" * hp_l + ".two.example"]
+    qnames = []
+    lines = []
+    for i in range(3 * evaluation.SCORE_CHUNK):
+        if i % 50 == 7:
+            lines.append("garbage line\n")
+            continue
+        name = pool[min(int(rng.zipf(1.3)) - 1, len(pool) - 1)] if i % 9 else pool[i // 9 % len(pool)]
+        if i % 5 == 0:
+            name = "".join(c.upper() if rng.random() < 0.5 else c for c in name)
+        qnames.append(name)
+        lines.append(f"Jan 1 00:00:00 dnsmasq[1]: query[A] {name} from 10.0.0.2\n")
+    path.write_text("".join(lines))
+    return qnames
+
+
+class TestClassifyCache:
+    @pytest.fixture
+    def log(self, tmp_path, toy_model_file):
+        _params, hp, _vocab = load(toy_model_file)
+        path = tmp_path / "queries.log"
+        qnames = write_repetitive_log(path, hp.l)
+        keys = {encoding_key(n, hp.l) for n in qnames}
+        assert len(qnames) > evaluation.SCORE_CHUNK
+        assert len(keys) < len({n.lower() for n in qnames}) < len(set(qnames))
+        return path, qnames, keys
+
+    def uncached_stdout(self, model_file, qnames, threshold=0.5):
+        params, hp, _vocab = load(model_file)
+        preds = evaluation.predict_names(params, hp, qnames, threshold)
+        return "".join(f"{p.name}\t{p.probability:.6f}\t{p.predicted}\n" for p in preds)
+
+    def classify(self, model_file, path, monkeypatch):
+        rows = []
+        forward = evaluation.forward_batch
+
+        def counting(params, hp, x):
+            rows.append(len(x))
+            return forward(params, hp, x)
+
+        monkeypatch.setattr(evaluation, "forward_batch", counting)
+        rc = main(["classify", "--model", str(model_file), "--input", str(path),
+                   "--format", "dnsmasq", "--threshold", "0.5"])
+        assert rc == 0
+        return sum(rows)
+
+    def test_equals_uncached_and_forwards_each_key_once(self, toy_model_file, log, monkeypatch, capsys):
+        path, qnames, keys = log
+        forwarded = self.classify(toy_model_file, path, monkeypatch)
+        captured = capsys.readouterr()
+        assert captured.out == self.uncached_stdout(toy_model_file, qnames)
+        assert forwarded == len(keys)
+        assert f"names scored: {len(qnames)}, distinct names forwarded: {len(keys)}" in captured.err
+        assert "--apex" not in captured.err
+
+    def test_eviction_keeps_output(self, toy_model_file, log, monkeypatch, capsys):
+        path, qnames, keys = log
+        monkeypatch.setattr(cli, "NAME_CACHE_SIZE", 3)
+        forwarded = self.classify(toy_model_file, path, monkeypatch)
+        assert capsys.readouterr().out == self.uncached_stdout(toy_model_file, qnames)
+        assert forwarded > len(keys)
+
+    def test_hit_makes_key_most_recently_used(self, tiny_hp, tiny_model, monkeypatch):
+        monkeypatch.setattr(cli, "NAME_CACHE_SIZE", 2)
+        cache = {}
+        fresh = [cli._cached_probabilities(tiny_model, tiny_hp, [name], cache)[1]
+                 for name in ("a.com", "b.com", "A.com", "c.com", "a.com")]
+        assert fresh == [1, 1, 0, 1, 0]
+        assert list(cache) == ["c.com", "a.com"]
 
 
 class TestGridSearch:

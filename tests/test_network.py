@@ -7,6 +7,8 @@ from tunneldetect.network import (
     DEFAULT_HYPERPARAMS,
     Hyperparams,
     ModelParams,
+    _forward_cached,
+    _im2col,
     _mean_bce,
     backward_batch,
     expected_shapes,
@@ -126,6 +128,23 @@ class TestForward:
         batch_p = forward_batch(tiny_model, tiny_hp, x)
         for i in range(8):
             assert batch_p[i] == forward_batch(tiny_model, tiny_hp, x[i : i + 1])[0]
+
+    @pytest.mark.parametrize("hp", [
+        Hyperparams(nf=6, ks=3, sl=1, d=8, l=12, hn=4),
+        Hyperparams(nf=64, ks=4, sl=1, d=32, l=45, hn=32),
+    ], ids=["tiny", "small"])
+    def test_conv_gemm_equals_batched_product(self, hp):
+        # the conv runs as one 2-D GEMM over all windows; it must give the
+        # bits of the batched 3-D product it replaced
+        params = init_params(hp, seed=4)
+        params.conv_b[:] = np.random.default_rng(13).normal(0, 0.3, size=hp.nf)
+        w_flat = params.conv_w.reshape(hp.ks * hp.d, hp.nf)
+        rng = np.random.default_rng(14)
+        for batch in (1, 2, 7, 128, 257):
+            x = rng.integers(0, 45, size=(batch, hp.l))
+            _, cache = _forward_cached(params, hp, x)
+            want = _im2col(params.embedding[x], hp.ks, hp.sl) @ w_flat + params.conv_b
+            np.testing.assert_array_equal(cache["zc"], want)
 
 
 def _bce(p, y):
