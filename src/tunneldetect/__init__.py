@@ -12,7 +12,6 @@ from .datagen import (
     DomainSample,
     build_corpus,
     desk_scale_spec,
-    full_scale_spec,
     read_corpus,
     split_train_test,
     write_corpus,

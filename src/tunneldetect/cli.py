@@ -26,8 +26,9 @@ import sys
 from . import __version__
 from . import datagen, evaluation, logparse, model_store, training
 from .datagen import LABEL_NORMAL, LABEL_TUNNELING
+from .hostnames import matches_apex
 from .network import DEFAULT_HYPERPARAMS, Hyperparams
-from .tokenizer import build_vocabulary, encoding_key
+from .tokenizer import encoding_key
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -88,6 +89,7 @@ def _threshold_flag(text: str) -> float:
 
 
 def cmd_generate_data(args) -> int:
+    per_class = None if args.spec else (datagen.FULL_PER_CLASS if args.full else args.per_class)
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -98,7 +100,6 @@ def cmd_generate_data(args) -> int:
             seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
         )
     else:
-        per_class = 8000 if args.full else args.per_class
         spec = datagen.desk_scale_spec(
             seed=args.seed if args.seed is not None else 0,
             per_class=per_class,
@@ -129,7 +130,7 @@ def cmd_generate_data(args) -> int:
             "seed": spec.seed,
             "apexes": list(spec.apexes),
             "spec": args.spec,
-            "per_class": None if args.spec else (8000 if args.full else args.per_class),
+            "per_class": per_class,
         },
         inputs=feed_inputs,
         outputs=[args.out],
@@ -159,7 +160,7 @@ def cmd_train(args) -> int:
         print(f"epoch {epoch:>3}/{cfg.epochs}  mean loss {loss:.6f}", file=sys.stderr)
 
     params = training.train(corpus, hp, cfg, progress=progress)
-    model_store.save(params, hp, build_vocabulary(), args.out)
+    model_store.save(params, hp, args.out)
     _write_manifest(
         args.out,
         "train",
@@ -309,15 +310,15 @@ def cmd_classify(args) -> int:
             forwarded += fresh
             batch.clear()
 
-        for lineno, line in enumerate(lines, start=1):
-            rec = logparse.parse_line(args.format, line, lineno)
-            if rec is None:
+        for line in lines:
+            qname = logparse.parse_line(args.format, line)
+            if qname is None:
                 skipped += 1
                 continue
-            if args.apex and not logparse.filter_apex([rec], args.apex):
+            if args.apex and not any(matches_apex(qname, apex) for apex in args.apex):
                 filtered += 1
                 continue
-            batch.append(rec.qname)
+            batch.append(qname)
             if len(batch) >= evaluation.SCORE_CHUNK:
                 flush()
         flush()
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="corpus CSV to write")
     p.add_argument("--seed", type=int, default=None, help="corpus seed (default 0)")
     p.add_argument("--per-class", type=int, default=2000, help="samples per class (default 2000)")
-    p.add_argument("--full", action="store_true", help="full-size corpus (8000 per class)")
+    p.add_argument("--full", action="store_true", help=f"full-size corpus ({datagen.FULL_PER_CLASS} per class)")
     p.add_argument("--spec", help="JSON file with explicit per-category counts")
     p.add_argument("--apex", action="append", help="tunneling apex domain (repeatable)")
     p.add_argument(

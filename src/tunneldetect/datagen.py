@@ -53,6 +53,9 @@ NORMAL_WEIGHTS = {
     ORIGIN_ALEXA: 5000,
 }
 
+# Samples per class in the full-size corpus (`generate-data --full`).
+FULL_PER_CLASS = 8000
+
 _FEED_FILES = {
     ORIGIN_ALEXA: "alexa_like.txt",
     ORIGIN_BAMBENEK: "bambenek_like.txt",
@@ -138,11 +141,6 @@ def desk_scale_spec(seed: int = 0, per_class: int = 2000,
         apexes=apexes,
         seed=seed,
     )
-
-
-def full_scale_spec(seed: int = 0, apexes: tuple[str, ...] = DEFAULT_APEXES) -> CorpusSpec:
-    """Full-size balanced corpus (8000 per class)."""
-    return desk_scale_spec(seed=seed, per_class=8000, apexes=apexes)
 
 
 def _derive_seed(seed: int, *stream) -> int:

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
+from .tokenizer import LITERALS
+
 MAX_NAME_LEN = 253
 MAX_LABEL_LEN = 63
-
-# Characters that can plausibly appear in a queried name, including the
-# separator/padding characters used by tunneling payload encoders.
-_HOSTNAME_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyz0123456789-._=+/~"
-)
 
 
 def strip_trailing_dot(name: str) -> str:
@@ -28,15 +24,17 @@ def has_valid_lengths(name: str) -> bool:
 
 
 def is_plausible_hostname(name: str) -> bool:
-    """True if the string is shaped like a queryable name.
+    """True if the string is ASCII and shaped like a queryable name.
 
     Permissive on purpose: tunneling payload labels legitimately contain
     '=', '+', '/', '_' and '~', so only clearly-invalid strings (empty
-    labels, oversize labels, characters outside the payload alphabet)
-    are rejected.
+    labels, oversize labels, characters outside the tokenizer's literal
+    alphabet after lowercasing) are rejected.
     """
+    if not name.isascii():
+        return False
     name = strip_trailing_dot(name.strip())
-    return has_valid_lengths(name) and all(ch in _HOSTNAME_CHARS for ch in name.lower())
+    return has_valid_lengths(name) and all(ch in LITERALS for ch in name.lower())
 
 
 def matches_apex(qname: str, apex: str) -> bool:

@@ -6,94 +6,34 @@ Three line grammars are supported so real logs can be scored directly:
   dnsmasq - `... query[TYPE] NAME from IP`
   bind    - querylog lines containing `... query: NAME IN ...`
 
-Parsing is total: lines that do not match are skipped and counted,
-never fatal.
+A line yields its query name, without a trailing dot, if that name is
+a plausible hostname (ASCII, in the tokenizer's alphabet after
+lowercasing); nothing else on the line is read. Parsing is total:
+lines that do not match are skipped, never fatal.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import Iterable, Sequence
 
-from .hostnames import is_plausible_hostname, matches_apex, strip_trailing_dot
+from .hostnames import is_plausible_hostname, strip_trailing_dot
 
 FORMATS = ("plain", "dnsmasq", "bind")
 
-_DNSMASQ_RE = re.compile(r"query\[[^\]]+\]\s+(\S+)\s+from\s+\S+")
-_BIND_RE = re.compile(r"query:\s+(\S+)\s+IN\b")
-_EPOCH_RE = re.compile(r"^(\d{9,11}(?:\.\d+)?)\b")
-_BIND_TS_RE = re.compile(r"^(\d{2}-\w{3}-\d{4} \d{2}:\d{2}:\d{2})(?:\.\d+)?")
+_QNAME_RE = {
+    "dnsmasq": re.compile(r"query\[[^\]]+\]\s+(\S+)\s+from\s+\S+"),
+    "bind": re.compile(r"query:\s+(\S+)\s+IN\b"),
+}
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    qname: str
-    timestamp: float | None
-    source_line: int
-
-
-def _leading_epoch(line: str) -> float | None:
-    m = _EPOCH_RE.match(line)
-    return float(m.group(1)) if m else None
-
-
-def _bind_timestamp(line: str) -> float | None:
-    m = _BIND_TS_RE.match(line)
-    if not m:
-        return None
-    try:
-        dt = datetime.strptime(m.group(1), "%d-%b-%Y %H:%M:%S")
-    except ValueError:
-        return None
-    return dt.replace(tzinfo=timezone.utc).timestamp()
-
-
-def parse_line(fmt: str, line: str, source_line: int = 1) -> LogRecord | None:
-    """Parse one log line; None means the line is skipped."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unsupported log format {fmt!r} (choose from {FORMATS})")
-
-    qname = None
-    timestamp = None
+def parse_line(fmt: str, line: str) -> str | None:
+    """The query name of one log line; None means the line is skipped."""
     if fmt == "plain":
         qname = line.strip()
-    elif fmt == "dnsmasq":
-        m = _DNSMASQ_RE.search(line)
-        if m:
-            qname = m.group(1)
-            timestamp = _leading_epoch(line)
-    else:  # bind
-        m = _BIND_RE.search(line)
-        if m:
-            qname = m.group(1)
-            timestamp = _bind_timestamp(line)
-
-    if not qname:
-        return None
+    elif fmt in _QNAME_RE:
+        m = _QNAME_RE[fmt].search(line)
+        qname = m.group(1) if m else ""
+    else:
+        raise ValueError(f"unsupported log format {fmt!r} (choose from {FORMATS})")
     qname = strip_trailing_dot(qname)
-    if not is_plausible_hostname(qname):
-        return None
-    return LogRecord(qname=qname, timestamp=timestamp, source_line=source_line)
-
-
-def parse_lines(fmt: str, lines: Iterable[str]) -> tuple[list[LogRecord], int]:
-    """Parse a log stream; returns (records, skipped-line count)."""
-    records = []
-    skipped = 0
-    for lineno, line in enumerate(lines, start=1):
-        rec = parse_line(fmt, line, lineno)
-        if rec is None:
-            skipped += 1
-        else:
-            records.append(rec)
-    return records, skipped
-
-
-def filter_apex(records: Sequence[LogRecord], apexes: Sequence[str]) -> list[LogRecord]:
-    """Keep records whose qname falls under any listed apex (label-boundary
-    suffix match). An empty apex list passes everything through."""
-    if not apexes:
-        return list(records)
-    return [r for r in records if any(matches_apex(r.qname, apex) for apex in apexes)]
+    return qname if is_plausible_hostname(qname) else None

@@ -25,7 +25,7 @@ import zlib
 import numpy as np
 
 from .network import Hyperparams, ModelParams, expected_shapes
-from .tokenizer import Vocabulary, build_vocabulary
+from .tokenizer import LITERALS, Vocabulary, build_vocabulary
 
 MAGIC = b"DNSTCNN\x01"
 VERSION = 1
@@ -67,10 +67,9 @@ def _pack_array(name: str, arr: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
-def save(params: ModelParams, hp: Hyperparams, vocab: Vocabulary, path) -> None:
-    """Write the model file; byte output is deterministic."""
-    if vocab.literals != build_vocabulary().literals:
-        raise ValueError("only the fixed alphabet can be saved; load() rejects any other")
+def save(params: ModelParams, hp: Hyperparams, path) -> None:
+    """Write the model file with the fixed alphabet; byte output is
+    deterministic."""
     shapes = expected_shapes(hp)
     for name, arr in params.arrays():
         if arr.shape != shapes[name]:
@@ -78,7 +77,7 @@ def save(params: ModelParams, hp: Hyperparams, vocab: Vocabulary, path) -> None:
 
     body = [MAGIC, struct.pack("<I", VERSION)]
     body.append(struct.pack("<6I", hp.nf, hp.ks, hp.sl, hp.d, hp.l, hp.hn))
-    literals = vocab.literals.encode("utf-8")
+    literals = LITERALS.encode("utf-8")
     body.append(struct.pack("<I", len(literals)))
     body.append(literals)
     blocks = list(params.arrays())
@@ -149,10 +148,9 @@ def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
     if stored != zlib.crc32(data[:body_end]):
         raise ChecksumError(f"checksum mismatch in {path}")
 
-    vocab = build_vocabulary()
-    if literals != vocab.literals.encode("utf-8"):
+    if literals != LITERALS.encode("utf-8"):
         raise VocabularyMismatchError(
-            f"stored vocabulary {literals!r} differs from the fixed alphabet {vocab.literals!r}"
+            f"stored vocabulary {literals!r} differs from the fixed alphabet {LITERALS!r}"
         )
     shapes = expected_shapes(hp)
     if set(blocks) != set(shapes):
@@ -166,4 +164,4 @@ def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
             raise ShapeMismatchError(f"{name} stored as {shape}, hyperparameters imply {want}")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
-    return ModelParams(**arrays), hp, vocab
+    return ModelParams(**arrays), hp, build_vocabulary()

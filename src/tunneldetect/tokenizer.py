@@ -17,47 +17,23 @@ PAD_IDX = 0
 OOV_IDX = 1
 
 # Literal characters, in index order starting at 2.
-_LITERALS = (
-    "abcdefghijklmnopqrstuvwxyz"
-    "0123456789"
-    "-._=+/~"
-)
+LITERALS = "abcdefghijklmnopqrstuvwxyz0123456789-._=+/~"
 
-VOCAB_SIZE = 2 + len(_LITERALS)  # 45
+VOCAB_SIZE = 2 + len(LITERALS)  # 45
+
+_INDEX = {ch: 2 + i for i, ch in enumerate(LITERALS)}
 
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Fixed 45-symbol alphabet: PAD, OOV, then 43 literal characters."""
+    """The literal characters a model file was saved with, in index order."""
 
     literals: str
-
-    def __post_init__(self):
-        if len(set(self.literals)) != len(self.literals):
-            raise ValueError("vocabulary literals must be unique")
-
-    @property
-    def size(self) -> int:
-        return 2 + len(self.literals)
-
-    def lookup(self, ch: str) -> int:
-        """Index of a single character, OOV if it is not a literal."""
-        pos = self.literals.find(ch)
-        return OOV_IDX if pos < 0 else 2 + pos
-
-    def char_at(self, index: int) -> str | None:
-        """Literal character for an index; None for PAD and OOV."""
-        if index < 2 or index >= self.size:
-            return None
-        return self.literals[index - 2]
-
-
-_VOCAB = Vocabulary(_LITERALS)
 
 
 def build_vocabulary() -> Vocabulary:
     """Return the fixed alphabet: PAD, OOV, a-z, 0-9, '-._=+/~' (45 entries)."""
-    return _VOCAB
+    return Vocabulary(LITERALS)
 
 
 def encoding_key(name: str, length: int) -> str:
@@ -79,7 +55,7 @@ def encode_domain(name: str, length: int) -> np.ndarray:
         raise ValueError(f"sequence length must be >= 1, got {length}")
     out = np.full(length, PAD_IDX, dtype=np.int64)
     for i, ch in enumerate(encoding_key(name, length)):
-        out[i] = _VOCAB.lookup(ch)
+        out[i] = _INDEX.get(ch, OOV_IDX)
     return out
 
 
@@ -90,17 +66,3 @@ def encode_batch(names: list[str], length: int) -> np.ndarray:
         batch[i] = encode_domain(name, length)
     return batch
 
-
-def decode_indices(indices) -> str:
-    """Best-effort inverse of encode_domain, for debugging.
-
-    Stops at the first PAD; OOV decodes to '?' (itself not a literal, so
-    re-encoding a decoded string reproduces the same indices).
-    """
-    chars = []
-    for idx in indices:
-        if idx == PAD_IDX:
-            break
-        ch = _VOCAB.char_at(int(idx))
-        chars.append("?" if ch is None else ch)
-    return "".join(chars)

@@ -33,7 +33,7 @@ from tunneldetect.network import (
     forward_batch,
     init_params,
 )
-from tunneldetect.tokenizer import build_vocabulary, encode_batch
+from tunneldetect.tokenizer import encode_batch
 from tunneldetect.training import (
     TrainConfig,
     count_parameters,
@@ -197,7 +197,7 @@ def test_criterion_7_serialization(tmp_path):
     hp = DEFAULT_HYPERPARAMS
     params = init_params(hp, seed=77)
     path = tmp_path / "model.bin"
-    save(params, hp, build_vocabulary(), path)
+    save(params, hp, path)
     loaded, loaded_hp, _ = load(path)
 
     rng = np.random.default_rng(77)

@@ -12,7 +12,6 @@ from tunneldetect.datagen import (
     cz_like_names,
     default_normal_pools,
     desk_scale_spec,
-    full_scale_spec,
     gen_dnscat2,
     gen_dnsexfiltrator,
     gen_failed_attempts,
@@ -66,7 +65,7 @@ class TestScaleCounts:
         assert counts == {"cz-like": 120, "bambenek-like": 705, "alexa-like": 1175}
 
     def test_full_scale_normal_counts(self):
-        counts = scale_counts(datagen.NORMAL_WEIGHTS, 8000)
+        counts = scale_counts(datagen.NORMAL_WEIGHTS, datagen.FULL_PER_CLASS)
         assert counts == {"cz-like": 480, "bambenek-like": 2820, "alexa-like": 4700}
 
     def test_sums_for_arbitrary_totals(self):
@@ -78,11 +77,11 @@ class TestScaleCounts:
             assert all(v >= 0 for v in counts.values())
 
     def test_full_spec_keeps_reference_tunneling_proportions(self):
-        spec = full_scale_spec()
+        spec = desk_scale_spec(per_class=datagen.FULL_PER_CLASS)
         assert spec.tunneling_counts == {
             "dnscat2": 23, "dnsexfiltrator": 78, "iodine": 346, "notspecified": 7553,
         }
-        assert spec.total_tunneling == spec.total_normal == 8000
+        assert spec.total_tunneling == spec.total_normal == datagen.FULL_PER_CLASS == 8000
 
 
 class TestIodine:

@@ -1,16 +1,20 @@
+import io
+
 import numpy as np
 import pytest
 
-from tunneldetect.logparse import LogRecord, filter_apex, parse_line, parse_lines
+from tunneldetect.cli import main
+from tunneldetect.hostnames import matches_apex
+from tunneldetect.logparse import FORMATS, parse_line
+from tunneldetect.model_store import save
 
 
 class TestPlain:
     def test_basic(self):
-        rec = parse_line("plain", "x.evil.com\n")
-        assert rec.qname == "x.evil.com"
+        assert parse_line("plain", "x.evil.com\n") == "x.evil.com"
 
     def test_trailing_dot_trimmed(self):
-        assert parse_line("plain", "a.example.org.").qname == "a.example.org"
+        assert parse_line("plain", "a.example.org.") == "a.example.org"
 
     def test_garbage_skipped(self):
         assert parse_line("plain", ">>> not a hostname <<<") is None
@@ -21,14 +25,10 @@ class TestDnsmasq:
     LINE = "Jan  1 00:00:00 dnsmasq[1]: query[A] foo.bar from 10.0.0.2"
 
     def test_stated_grammar(self):
-        rec = parse_line("dnsmasq", self.LINE)
-        assert rec.qname == "foo.bar"
-        assert rec.timestamp is None
+        assert parse_line("dnsmasq", self.LINE) == "foo.bar"
 
     def test_epoch_prefix_captured(self):
-        rec = parse_line("dnsmasq", "1700000000 dnsmasq[7]: query[TXT] x.y.z from 10.0.0.9")
-        assert rec.qname == "x.y.z"
-        assert rec.timestamp == 1700000000.0
+        assert parse_line("dnsmasq", "1700000000 dnsmasq[7]: query[TXT] x.y.z from 10.0.0.9") == "x.y.z"
 
     def test_reply_lines_skipped(self):
         assert parse_line("dnsmasq", "Jan 1 00:00:00 dnsmasq[1]: reply foo.bar is 1.2.3.4") is None
@@ -41,19 +41,27 @@ class TestBind:
     )
 
     def test_querylog_line(self):
-        rec = parse_line("bind", self.LINE)
-        assert rec.qname == "data.evil.com"
-        assert rec.timestamp is not None
+        assert parse_line("bind", self.LINE) == "data.evil.com"
 
     def test_comment_line_skipped(self):
         assert parse_line("bind", "; this is a comment") is None
 
-    def test_timestamp_value(self):
-        from datetime import datetime, timezone
 
-        rec = parse_line("bind", self.LINE)
-        want = datetime(2026, 2, 12, 3, 4, 5, tzinfo=timezone.utc).timestamp()
-        assert rec.timestamp == want
+class TestNonAscii:
+    """Names whose lowercase is (partly) ASCII are still not ASCII:
+    KELVIN SIGN lowercases to 'k', and 'İ' to 'i' plus a combining dot."""
+
+    LINES = {
+        "plain": "{}",
+        "dnsmasq": "Jan 1 00:00:00 dnsmasq[1]: query[A] {} from 10.0.0.2",
+        "bind": "12-Feb-2026 03:04:05.678 client @0x1 10.0.0.2#4242 ({0}): query: {0} IN A +E(0)K (10.0.0.1)",
+    }
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("name", ["\u212aa.example.com", "\u0130.example.com", "x.\u212a"])
+    def test_skipped_in_every_format(self, fmt, name):
+        assert parse_line(fmt, self.LINES[fmt].format("ka.example.com")) == "ka.example.com"
+        assert parse_line(fmt, self.LINES[fmt].format(name)) is None
 
 
 class TestParseLines:
@@ -65,13 +73,7 @@ class TestParseLines:
             "also-ok.org",
             "bad host name with spaces",
         ]
-        records, skipped = parse_lines("plain", lines)
-        assert len(records) + skipped == len(lines)
-        assert [r.qname for r in records] == ["ok.example.com", "also-ok.org"]
-
-    def test_source_lines_recorded(self):
-        records, _ = parse_lines("plain", ["a.com", "!!", "b.com"])
-        assert [(r.qname, r.source_line) for r in records] == [("a.com", 1), ("b.com", 3)]
+        assert [parse_line("plain", line) for line in lines] == ["ok.example.com", None, None, "also-ok.org", None]
 
     def test_never_raises_on_arbitrary_text(self):
         rng = np.random.default_rng(0)
@@ -87,23 +89,27 @@ class TestParseLines:
 
 
 class TestFilterApex:
-    def _records(self, *names):
-        return [LogRecord(n, None, i + 1) for i, n in enumerate(names)]
+    """The `classify --apex` filter: a name is kept if it matches any apex."""
+
+    @staticmethod
+    def _kept(names, apexes):
+        return [n for n in names if any(matches_apex(n, apex) for apex in apexes)]
 
     def test_label_boundary_match(self):
-        records = self._records("a.evil.com", "notevil.com", "evil.com", "b.sub.evil.com")
-        kept = filter_apex(records, ["evil.com"])
-        assert [r.qname for r in kept] == ["a.evil.com", "evil.com", "b.sub.evil.com"]
+        kept = self._kept(["a.evil.com", "notevil.com", "evil.com", "b.sub.evil.com"], ["evil.com"])
+        assert kept == ["a.evil.com", "evil.com", "b.sub.evil.com"]
 
-    def test_empty_apex_list_passthrough(self):
-        records = self._records("a.com", "b.org")
-        assert filter_apex(records, []) == records
+    def test_empty_apex_list_passthrough(self, tmp_path, tiny_hp, tiny_model, monkeypatch, capsys):
+        model = tmp_path / "model.bin"
+        save(tiny_model, tiny_hp, model)
+        monkeypatch.setattr("sys.stdin", io.StringIO("a.com\nb.org\n"))
+        assert main(["classify", "--model", str(model)]) == 0
+        assert [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()] == ["a.com", "b.org"]
 
     def test_multiple_apexes(self):
-        records = self._records("x.one.example", "y.two.example", "z.three.example")
-        kept = filter_apex(records, ["one.example", "two.example"])
-        assert len(kept) == 2
+        kept = self._kept(["x.one.example", "y.two.example", "z.three.example"], ["one.example", "two.example"])
+        assert kept == ["x.one.example", "y.two.example"]
 
     def test_case_insensitive(self):
-        records = self._records("A.EVIL.COM")
-        assert filter_apex(records, ["evil.com"]) == records
+        assert matches_apex("A.EVIL.COM", "evil.com")
+        assert matches_apex("a.evil.com.", "EVIL.COM.")

@@ -17,14 +17,14 @@ from tunneldetect.model_store import (
     save,
 )
 from tunneldetect.network import Hyperparams, forward_batch, init_params
-from tunneldetect.tokenizer import Vocabulary, build_vocabulary
+from tunneldetect.tokenizer import LITERALS
 
 
 @pytest.fixture
 def saved_model(tmp_path, tiny_hp):
     params = init_params(tiny_hp, seed=42)
     path = tmp_path / "model.bin"
-    save(params, tiny_hp, build_vocabulary(), path)
+    save(params, tiny_hp, path)
     return params, tiny_hp, path
 
 
@@ -42,7 +42,7 @@ class TestRoundtrip:
         params, hp, path = saved_model
         loaded, loaded_hp, vocab = load(path)
         assert loaded_hp == hp
-        assert vocab.size == 45
+        assert vocab.literals == LITERALS
         for (name, a), (_, b) in zip(params.arrays(), loaded.arrays()):
             np.testing.assert_array_equal(a, b, err_msg=name)
 
@@ -58,8 +58,8 @@ class TestRoundtrip:
     def test_save_is_deterministic(self, tmp_path, tiny_hp):
         params = init_params(tiny_hp, seed=3)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        save(params, tiny_hp, build_vocabulary(), a)
-        save(params, tiny_hp, build_vocabulary(), b)
+        save(params, tiny_hp, a)
+        save(params, tiny_hp, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_save_rejects_mismatched_shapes(self, tmp_path, tiny_hp):
@@ -67,14 +67,7 @@ class TestRoundtrip:
         other = Hyperparams(nf=tiny_hp.nf + 1, ks=tiny_hp.ks, sl=tiny_hp.sl,
                             d=tiny_hp.d, l=tiny_hp.l, hn=tiny_hp.hn)
         with pytest.raises(ValueError, match="shape"):
-            save(params, other, build_vocabulary(), tmp_path / "bad.bin")
-
-
-    def test_save_rejects_foreign_vocabulary(self, tmp_path, tiny_hp):
-        params = init_params(tiny_hp, seed=3)
-        reversed_vocab = Vocabulary(build_vocabulary().literals[::-1])
-        with pytest.raises(ValueError, match="alphabet"):
-            save(params, tiny_hp, reversed_vocab, tmp_path / "bad.bin")
+            save(params, other, tmp_path / "bad.bin")
 
 
 class TestCorruption:
@@ -142,7 +135,7 @@ class TestCorruption:
     def test_every_single_bit_flip_is_a_format_error(self, tmp_path):
         hp = Hyperparams(nf=1, ks=1, sl=1, d=1, l=1, hn=1)
         path = tmp_path / "smallest.bin"
-        save(init_params(hp, seed=1), hp, build_vocabulary(), path)
+        save(init_params(hp, seed=1), hp, path)
         blob = path.read_bytes()
         for offset in range(len(blob)):
             for bit in range(8):
@@ -155,7 +148,7 @@ class TestCorruption:
     def test_overflowing_dims_report_truncation(self, saved_model):
         _, _, path = saved_model
         data = bytearray(path.read_bytes())
-        literals = build_vocabulary().literals.encode("utf-8")
+        literals = LITERALS.encode("utf-8")
         # first block: u32 block count, u8 name length, "embedding", u8 ndim, dims
         dims_offset = LITERALS_OFFSET + len(literals) + 4 + 1 + len(b"embedding") + 1
         assert data[dims_offset - 1] == 2
@@ -167,7 +160,7 @@ class TestCorruption:
     def test_foreign_vocabulary_rejected(self, saved_model):
         _, _, path = saved_model
         data = bytearray(path.read_bytes())
-        literals = build_vocabulary().literals.encode("utf-8")
+        literals = LITERALS.encode("utf-8")
         assert data[LITERALS_OFFSET : LITERALS_OFFSET + len(literals)] == literals
         data[LITERALS_OFFSET : LITERALS_OFFSET + len(literals)] = literals[::-1]
         _rewrite_with_checksum(path, bytes(data[:-4]))
