@@ -24,17 +24,16 @@ def has_valid_lengths(name: str) -> bool:
 
 
 def is_plausible_hostname(name: str) -> bool:
-    """True if the string is ASCII and shaped like a queryable name.
+    """True if the string, exactly as given, is ASCII and shaped like a
+    queryable name. Callers strip whitespace and the trailing dot first:
+    neither is part of a name, so either makes this False.
 
     Permissive on purpose: tunneling payload labels legitimately contain
     '=', '+', '/', '_' and '~', so only clearly-invalid strings (empty
     labels, oversize labels, characters outside the tokenizer's literal
     alphabet after lowercasing) are rejected.
     """
-    if not name.isascii():
-        return False
-    name = strip_trailing_dot(name.strip())
-    return has_valid_lengths(name) and all(ch in LITERALS for ch in name.lower())
+    return name.isascii() and has_valid_lengths(name) and all(ch in LITERALS for ch in name.lower())
 
 
 def matches_apex(qname: str, apex: str) -> bool:

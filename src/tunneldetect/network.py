@@ -5,6 +5,14 @@ ReLU -> flatten (position-major, filter-minor) -> dense ReLU -> dense
 sigmoid, trained against binary cross-entropy. Everything is plain
 numpy in float64 so the analytic gradients can be checked tightly
 against finite differences.
+
+The input is a sequence of symbol indices, so the embedding lookup and
+the convolution fold into one table: embedding[x] @ conv_w[j] equals
+(embedding @ conv_w[j])[x]. The forward pass builds the (ks, vocab, nf)
+table once per batch and sums, for each window, one table row per
+kernel tap. Backward sums the conv gradient into the same table shape
+(one one-hot GEMM over all windows) and maps it back to the embedding
+and kernel gradients with vocab-row products.
 """
 
 from __future__ import annotations
@@ -16,6 +24,11 @@ import numpy as np
 from .tokenizer import VOCAB_SIZE
 
 BCE_EPS = 1e-7
+
+# float64 scalars in one cache-sized working block (256 KB): the conv
+# layer and the Adam update each work through their arrays in pieces of
+# about this size, so that every pass over a piece hits cache
+CACHE_BLOCK = 2**15
 
 # Open-interval bounds for the sigmoid output, so probabilities are
 # never exactly 0.0 or 1.0 even for saturated logits.
@@ -135,14 +148,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _im2col(emb: np.ndarray, ks: int, sl: int) -> np.ndarray:
-    """(B, l, d) embeddings -> (B, P, ks*d) convolution windows."""
-    # sliding_window_view puts the window axis last: (B, l-ks+1, d, ks)
-    win = np.lib.stride_tricks.sliding_window_view(emb, ks, axis=1)
-    win = win[:, ::sl]
-    return np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(
-        emb.shape[0], win.shape[1], ks * emb.shape[2]
-    )
+def _taps(x: np.ndarray, hp: Hyperparams, j: int) -> np.ndarray:
+    """(B, P) symbol indices seen by kernel tap j at each window position."""
+    span = (hp.conv_out_len - 1) * hp.sl + 1
+    return x[:, j : j + span : hp.sl]
 
 
 def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
@@ -150,23 +159,30 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     xb = np.atleast_2d(np.asarray(x_batch))
     if xb.shape[-1] != hp.l:
         raise ValueError(f"input length {xb.shape[-1]} does not match sequence length {hp.l}")
+    vocab = params.embedding.shape[0]
+    if xb.size and (xb.min() < 0 or xb.max() >= vocab):
+        raise ValueError(f"symbol indices must lie in [0, {vocab})")
     batch = xb.shape[0]
 
-    emb = params.embedding[xb]                      # (B, l, d)
-    windows = _im2col(emb, hp.ks, hp.sl)            # (B, P, ks*d)
-    kd = hp.ks * hp.d
-    # one 2-D GEMM over all B*P windows, the layout backward_batch uses
-    zc = (windows.reshape(-1, kd) @ params.conv_w.reshape(kd, hp.nf)).reshape(
-        batch, hp.conv_out_len, hp.nf
-    ) + params.conv_b                               # (B, P, nf)
-    ac = np.maximum(zc, 0.0)
+    table = np.matmul(params.embedding, params.conv_w)  # (ks, vocab, nf)
+    zc = np.empty((batch, hp.conv_out_len, hp.nf))
+    ac = np.empty_like(zc)
+    # blocks of rows small enough to stay in cache while their taps add up
+    rows = max(1, CACHE_BLOCK // (hp.conv_out_len * hp.nf))
+    for r in range(0, batch, rows):
+        xr, block = xb[r : r + rows], zc[r : r + rows]
+        block[...] = table[0][_taps(xr, hp, 0)]
+        for j in range(1, hp.ks):
+            block += table[j][_taps(xr, hp, j)]
+        block += params.conv_b
+        np.maximum(block, 0.0, out=ac[r : r + rows])
     flat = ac.reshape(batch, hp.flat_width)         # position-major, filter-minor
     z1 = flat @ params.dense1_w + params.dense1_b   # (B, hn)
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.dense2_w + params.dense2_b[0]  # (B,)
     p = np.clip(_sigmoid(z2), _P_LO, _P_HI)
 
-    cache = {"x": xb, "emb": emb, "windows": windows, "zc": zc, "z1": z1, "a1": a1, "flat": flat}
+    cache = {"x": xb, "zc": zc, "z1": z1, "a1": a1, "flat": flat}
     return p, cache
 
 
@@ -201,36 +217,32 @@ def backward_batch(
     batch = xb.shape[0]
     loss = _mean_bce(p, yb)
 
-    g = ModelParams.zeros_like(params)
-
     dz2 = (p - yb) / batch                              # (B,)
-    g.dense2_w[:] = cache["a1"].T @ dz2
-    g.dense2_b[0] = dz2.sum()
-
     da1 = np.outer(dz2, params.dense2_w)                # (B, hn)
     dz1 = da1 * (cache["z1"] > 0.0)
-    g.dense1_w[:] = cache["flat"].T @ dz1
-    g.dense1_b[:] = dz1.sum(axis=0)
+    dzc = (dz1 @ params.dense1_w.T).reshape(batch * hp.conv_out_len, hp.nf)  # (B*P, nf)
+    dzc *= cache["zc"].reshape(dzc.shape) > 0.0
 
-    dflat = dz1 @ params.dense1_w.T                     # (B, flat)
-    dzc = dflat.reshape(batch, hp.conv_out_len, hp.nf) * (cache["zc"] > 0.0)
-
-    kd = hp.ks * hp.d
-    win2d = cache["windows"].reshape(batch * hp.conv_out_len, kd)
-    dzc2d = dzc.reshape(batch * hp.conv_out_len, hp.nf)
-    g.conv_w[:] = (win2d.T @ dzc2d).reshape(hp.ks, hp.d, hp.nf)
-    g.conv_b[:] = dzc.sum(axis=(0, 1))
-
-    dwin = (dzc2d @ params.conv_w.reshape(kd, hp.nf).T).reshape(
-        batch, hp.conv_out_len, hp.ks, hp.d
-    )
-    demb = np.zeros_like(cache["emb"])
-    span = (hp.conv_out_len - 1) * hp.sl + 1
+    # dL/dtable[j][v] sums dzc over the windows whose tap j reads symbol
+    # v: one GEMM of a (ks*vocab, B*P) one-hot matrix with dzc
+    vocab = params.embedding.shape[0]
+    cols = np.arange(dzc.shape[0])
+    onehot = np.zeros((hp.ks * vocab, dzc.shape[0]))
     for j in range(hp.ks):
-        # window positions j, j+sl, ... are distinct, so a strided
-        # slice-add accumulates without index collisions
-        demb[:, j : j + span : hp.sl, :] += dwin[:, :, j, :]
+        onehot[j * vocab + _taps(cache["x"], hp, j).reshape(-1), cols] = 1.0
+    dtable = np.empty((hp.ks, vocab, hp.nf))
+    np.matmul(onehot, dzc, out=dtable.reshape(hp.ks * vocab, hp.nf))
+    embedding = dtable[0] @ params.conv_w[0].T
+    for j in range(1, hp.ks):
+        embedding += dtable[j] @ params.conv_w[j].T
 
-    np.add.at(g.embedding, cache["x"].reshape(-1), demb.reshape(-1, hp.d))
-
+    g = ModelParams(
+        embedding=embedding,
+        conv_w=np.matmul(params.embedding.T, dtable),   # (ks, d, nf)
+        conv_b=dzc.sum(axis=0),
+        dense1_w=cache["flat"].T @ dz1,
+        dense1_b=dz1.sum(axis=0),
+        dense2_w=cache["a1"].T @ dz2,
+        dense2_b=np.array([dz2.sum()]),
+    )
     return g, loss

@@ -13,7 +13,7 @@ import numpy as np
 
 from .datagen import LABEL_TUNNELING, DomainSample
 from .evaluation import compute_metrics, predict_samples
-from .network import Hyperparams, ModelParams, backward_batch, init_params
+from .network import CACHE_BLOCK, Hyperparams, ModelParams, backward_batch, init_params
 from .tokenizer import VOCAB_SIZE, encode_batch
 
 
@@ -70,23 +70,46 @@ class AdamState:
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update, applied elementwise in place."""
-    for (name, p), (_, g), (_, m), (_, v) in zip(
-        params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()
-    ):
+    """One bias-corrected Adam update, applied elementwise in place.
+
+    Each block is updated CACHE_BLOCK scalars at a time through two
+    scratch buffers of that size, so no temporary as large as a block is
+    made. Every slice goes through the same operations, in the same
+    order, as the whole-array update
+    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result is the
+    same bit for bit.
+    """
+    blocks = list(zip(params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()))
+    for (name, p), (_, g), (_, m), (_, v) in blocks:
         if p.shape != g.shape:
             raise ValueError(f"gradient shape mismatch for {name}: {p.shape} vs {g.shape}")
+        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ValueError(f"{name}: parameters and moments must be C-contiguous to update in place")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
-    for (_, p), (_, g), (_, m), (_, v) in zip(
-        params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()
-    ):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    lr, beta1, beta2, eps = state.lr, state.beta1, state.beta2, state.eps
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
+    scratch_a, scratch_b = np.empty(CACHE_BLOCK), np.empty(CACHE_BLOCK)
+    for (_, p), (_, g), (_, m), (_, v) in blocks:
+        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, p.size, CACHE_BLOCK):
+            hi = lo + CACHE_BLOCK
+            ps, gs, ms, vs = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            a, b = scratch_a[: ps.size], scratch_b[: ps.size]
+            ms *= beta1
+            np.multiply(gs, 1.0 - beta1, out=a)
+            ms += a
+            vs *= beta2
+            np.square(gs, out=a)
+            a *= 1.0 - beta2
+            vs += a
+            np.divide(ms, bc1, out=a)
+            a *= lr
+            np.divide(vs, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            ps -= a
     return params, state
 
 

@@ -207,6 +207,13 @@ class TestLoadNormal:
         assert [s.name for s in samples] == ["example.com", "ok.org"]
         assert skipped == 1
 
+    def test_space_before_trailing_dot_skipped(self, tmp_path):
+        p = tmp_path / "feed.txt"
+        p.write_text("a.com .\n b.org. \n")
+        samples, skipped = load_normal(p, "alexa-like")
+        assert [s.name for s in samples] == ["b.org"]
+        assert skipped == 1
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_normal(tmp_path / "nope.txt", "alexa-like")

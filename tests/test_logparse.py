@@ -16,6 +16,13 @@ class TestPlain:
     def test_trailing_dot_trimmed(self):
         assert parse_line("plain", "a.example.org.") == "a.example.org"
 
+    def test_space_before_trailing_dot_skipped(self):
+        # the name is checked as the line gives it, so the space inside
+        # "a.com ." is never stripped away and accepted
+        assert parse_line("plain", "a.com .") is None
+        assert parse_line("plain", "a.com .\n") is None
+        assert parse_line("plain", "  a.com.  \n") == "a.com"
+
     def test_garbage_skipped(self):
         assert parse_line("plain", ">>> not a hostname <<<") is None
         assert parse_line("plain", "") is None

@@ -38,6 +38,15 @@ _names = st.one_of(
 # Text shaped like resolver log lines, so that some of it parses.
 _log_text = st.one_of(
     _names,
+    # names from the alphabet, then blanks and a trailing dot, which are
+    # not part of the name
+    st.builds(
+        "{}{}{}".format,
+        st.lists(st.text(st.sampled_from(LITERALS.replace(".", "")), min_size=1, max_size=12), min_size=1, max_size=4)
+        .map(".".join),
+        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", "."]),
+    ),
     st.builds(
         "{}query[{}] {} from {}".format,
         st.text(max_size=8), st.text(max_size=4), _names, st.text(max_size=8),
@@ -52,6 +61,7 @@ def test_parse_line_is_total(fmt, line):
     qname = parse_line(fmt, line)
     if qname is not None:
         assert qname.isascii()
+        assert qname == qname.strip()
         assert is_plausible_hostname(qname)
 
 

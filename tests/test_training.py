@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,56 @@ class TestAdamStep:
         other = init_params(Hyperparams(nf=2, ks=1, sl=1, d=1, l=1, hn=1), 0, vocab_size=1)
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, other, AdamState.fresh(params))
+
+
+    def test_non_contiguous_block_rejected(self):
+        # a flat view of a transposed block would be a copy, and its
+        # update would be lost
+        params = init_params(Hyperparams(nf=3, ks=2, sl=1, d=2, l=4, hn=2), 0)
+        params.dense1_w = np.asfortranarray(params.dense1_w)
+        grads = ModelParams(*(np.ones_like(p) for _, p in params.arrays()))
+        with pytest.raises(ValueError, match="contiguous"):
+            adam_step(params, grads, AdamState.fresh(params))
+
+    @staticmethod
+    def _model_with_block(size):
+        """Tiny blocks plus one dense1_w of `size` scalars; adam_step
+        reads only shapes, so the blocks need not form a network."""
+        rng = np.random.default_rng(size)
+        shapes = [(3, 2), (1, 2, 2), (2,), (size,), (1,), (1,), (1,)]
+        return ModelParams(*(rng.normal(size=s) for s in shapes))
+
+    def test_blocked_update_equals_whole_array_expression(self):
+        # 100,003 scalars: several CACHE_BLOCK slices and a ragged tail
+        params = self._model_with_block(100_003)
+        want = params.copy()
+        state = AdamState.fresh(params)
+        m, v = ModelParams.zeros_like(want), ModelParams.zeros_like(want)
+        lr, b1, b2, eps = state.lr, state.beta1, state.beta2, state.eps
+        rng = np.random.default_rng(21)
+        for t in range(1, 4):
+            grads = ModelParams(*(rng.normal(0, 10.0 ** -t, size=p.shape) for _, p in params.arrays()))
+            adam_step(params, grads, state)
+            for (_, p), (_, g), (_, mm), (_, vv) in zip(want.arrays(), grads.arrays(), m.arrays(), v.arrays()):
+                mm[:] = b1 * mm + (1.0 - b1) * g
+                vv[:] = b2 * vv + (1.0 - b2) * np.square(g)
+                p -= lr * (mm / (1.0 - b1 ** t)) / (np.sqrt(vv / (1.0 - b2 ** t)) + eps)
+        assert state.t == 3
+        for got, exp in ((params, want), (state.m, m), (state.v, v)):
+            for (name, a), (_, b) in zip(got.arrays(), exp.arrays()):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_step_allocates_no_block_sized_temporary(self):
+        params = self._model_with_block(1_000_003)
+        grads = ModelParams(*(np.ones_like(p) for _, p in params.arrays()))
+        state = AdamState.fresh(params)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.dense1_w.nbytes / 10
 
 
 TOY_HP = Hyperparams(nf=8, ks=3, sl=1, d=8, l=10, hn=8)
