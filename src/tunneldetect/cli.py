@@ -11,7 +11,7 @@ Subcommands compose the library into reproducible pipelines:
 Every file-producing subcommand also writes `<output>.manifest.json`
 recording the resolved flags, seeds and input/output checksums, enough
 to reproduce the run bit for bit with the same numpy, BLAS library and
-BLAS thread count.
+BLAS thread count, which the manifest records too.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data/format problem.
 """
@@ -21,7 +21,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from . import datagen, evaluation, logparse, model_store, training
@@ -48,6 +51,18 @@ def _sha256_file(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
+def _environment() -> dict:
+    """What bit-for-bit reproduction also depends on: the numpy version,
+    the BLAS library numpy was built against, and the BLAS thread count
+    requested through the environment (None when unset)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas, "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
 def _write_manifest(out_path, subcommand: str, args: dict, inputs: list, outputs: list, metrics: dict | None = None) -> None:
     manifest = {
         "tool": f"tunneldetect {__version__}",
@@ -55,6 +70,7 @@ def _write_manifest(out_path, subcommand: str, args: dict, inputs: list, outputs
         "args": args,
         "inputs": {str(p): _sha256_file(p) for p in inputs},
         "outputs": {str(p): _sha256_file(p) for p in outputs},
+        "environment": _environment(),
     }
     if metrics is not None:
         manifest["metrics"] = metrics

@@ -13,7 +13,10 @@ File layout (all integers little-endian):
     checksum     u32 CRC-32 over all preceding bytes
 
 Weights are stored as raw 64-bit floats so save/load round-trips are
-bitwise exact. Every corruption class raises its own error type.
+bitwise exact. Every corruption class raises its own error type, except
+that a damaged length, count or dims field may report truncation: it
+misplaces every later field, so the bytes can run out before the
+checksum is compared.
 """
 
 from __future__ import annotations

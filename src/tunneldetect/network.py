@@ -11,8 +11,19 @@ the convolution fold into one table: embedding[x] @ conv_w[j] equals
 (embedding @ conv_w[j])[x]. The forward pass builds the (ks, vocab, nf)
 table once per batch and sums, for each window, one table row per
 kernel tap. Backward sums the conv gradient into the same table shape
-(one one-hot GEMM over all windows) and maps it back to the embedding
-and kernel gradients with vocab-row products.
+(one one-hot GEMM over the packed windows) and maps it back to the
+embedding and kernel gradients with vocab-row products.
+
+Names are right-padded with PAD, and a window that starts past a row's
+last non-PAD symbol reads only PAD, so all such windows share one
+activation. Only live windows are computed. Rows are sorted by their
+live-window count and the conv activations are packed position-major,
+as in PyTorch's pack_padded_sequence: at each position the live rows
+are a prefix of the sorted rows, followed by one all-PAD window that
+stands for the rest. dense1 is then one GEMM per position, and in
+backward the all-PAD window carries the sum of dz1 over the rows dead
+at that position. The result is exact for any input (a PAD window
+inside a name stays live) up to summation order.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tokenizer import VOCAB_SIZE
+from .tokenizer import PAD_IDX, VOCAB_SIZE
 
 BCE_EPS = 1e-7
 
@@ -148,14 +159,56 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _taps(x: np.ndarray, hp: Hyperparams, j: int) -> np.ndarray:
-    """(B, P) symbol indices seen by kernel tap j at each window position."""
-    span = (hp.conv_out_len - 1) * hp.sl + 1
-    return x[:, j : j + span : hp.sl]
+def _pack(xb: np.ndarray, hp: Hyperparams):
+    """Packed window layout of a (B, l) batch.
+
+    Window p of a row is live iff p * sl is at most the index of the
+    row's last non-PAD symbol; every later window reads only PAD. Rows
+    are sorted by live count (stable), so at each position the live
+    rows are a prefix of the sorted rows. The layout is position-major:
+    for each position, its live windows in sorted-row order, then, if
+    some row is dead there, one all-PAD window standing for all of them.
+
+    Returns (order, live, counts, sym): the sorting permutation, each
+    sorted row's live count, the live rows per position, and the
+    (ks, packed windows) symbol indices each kernel tap reads.
+    """
+    batch, positions = xb.shape[0], hp.conv_out_len
+    symbols = xb != PAD_IDX
+    last = np.where(symbols.any(axis=1), hp.l - 1 - np.argmax(symbols[:, ::-1], axis=1), -1)
+    live = np.minimum(last // hp.sl + 1, positions)
+    order = np.argsort(-live, kind="stable")
+    live = live[order]
+    counts = np.count_nonzero(live[:, None] > np.arange(positions), axis=0)
+    widths = counts + (counts < batch)
+    pos = np.repeat(np.arange(positions), widths)
+    # the all-PAD window after a position's live rows is that of the
+    # first sorted row dead there
+    row = np.arange(pos.size) - (np.cumsum(widths) - widths)[pos]
+    xs = xb[order]
+    sym = np.stack([xs[row, pos * hp.sl + j] for j in range(hp.ks)])
+    return order, live, counts, sym
+
+
+def _position_blocks(counts: np.ndarray, batch: int):
+    """(p, lo, k, m) per position p: packed rows lo:lo+m hold its k live
+    windows and, when m > k, the all-PAD window after them."""
+    lo = 0
+    for p, k in enumerate(counts.tolist()):
+        m = k + (k < batch)
+        yield p, lo, k, m
+        lo += m
 
 
 def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
-    """Batched forward pass keeping every activation needed by backward."""
+    """Batched forward pass keeping every activation needed by backward.
+
+    The conv runs over the packed windows only (see _pack). dense1 is
+    one GEMM per position over its packed rows; a row dead from
+    position k on then adds suffix[k], the sum over p >= k of the
+    all-PAD window's product with W1[p]. Cached arrays are in sorted-row
+    or packed order; probabilities come back in input order.
+    """
     xb = np.atleast_2d(np.asarray(x_batch))
     if xb.shape[-1] != hp.l:
         raise ValueError(f"input length {xb.shape[-1]} does not match sequence length {hp.l}")
@@ -163,27 +216,40 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     if xb.size and (xb.min() < 0 or xb.max() >= vocab):
         raise ValueError(f"symbol indices must lie in [0, {vocab})")
     batch = xb.shape[0]
+    order, live, counts, sym = _pack(xb, hp)
 
     table = np.matmul(params.embedding, params.conv_w)  # (ks, vocab, nf)
-    zc = np.empty((batch, hp.conv_out_len, hp.nf))
+    zc = np.empty((sym.shape[1], hp.nf))
     ac = np.empty_like(zc)
-    # blocks of rows small enough to stay in cache while their taps add up
-    rows = max(1, CACHE_BLOCK // (hp.conv_out_len * hp.nf))
-    for r in range(0, batch, rows):
-        xr, block = xb[r : r + rows], zc[r : r + rows]
-        block[...] = table[0][_taps(xr, hp, 0)]
+    # blocks of windows small enough to stay in cache while their taps add up
+    rows = max(1, CACHE_BLOCK // hp.nf)
+    for r in range(0, zc.shape[0], rows):
+        block = zc[r : r + rows]
+        block[...] = table[0][sym[0, r : r + rows]]
         for j in range(1, hp.ks):
-            block += table[j][_taps(xr, hp, j)]
+            block += table[j][sym[j, r : r + rows]]
         block += params.conv_b
         np.maximum(block, 0.0, out=ac[r : r + rows])
-    flat = ac.reshape(batch, hp.flat_width)         # position-major, filter-minor
-    z1 = flat @ params.dense1_w + params.dense1_b   # (B, hn)
+
+    w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
+    z1 = np.empty((batch, hp.hn))
+    z1[...] = params.dense1_b
+    out = np.empty((batch, hp.hn))
+    # pad[p] is the all-PAD window times W1[p]; pad[P] = 0 serves rows live throughout
+    pad = np.zeros((hp.conv_out_len + 1, hp.hn))
+    for p, lo, k, m in _position_blocks(counts, batch):
+        np.matmul(ac[lo : lo + m], w1[p], out=out[:m])
+        z1[:k] += out[:k]
+        if m > k:
+            pad[p] = out[k]
+    z1 += np.cumsum(pad[::-1], axis=0)[::-1][live]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.dense2_w + params.dense2_b[0]  # (B,)
-    p = np.clip(_sigmoid(z2), _P_LO, _P_HI)
+    probs = np.empty(batch)
+    probs[order] = np.clip(_sigmoid(z2), _P_LO, _P_HI)
 
-    cache = {"x": xb, "zc": zc, "z1": z1, "a1": a1, "flat": flat}
-    return p, cache
+    cache = {"order": order, "counts": counts, "sym": sym, "zc": zc, "ac": ac, "z1": z1, "a1": a1}
+    return probs, cache
 
 
 def forward_batch(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray) -> np.ndarray:
@@ -213,23 +279,37 @@ def backward_batch(
     if xb.shape[0] != yb.shape[0]:
         raise ValueError(f"batch size mismatch: {xb.shape[0]} sequences, {yb.shape[0]} labels")
 
-    p, cache = _forward_cached(params, hp, xb)
+    probs, cache = _forward_cached(params, hp, xb)
     batch = xb.shape[0]
-    loss = _mean_bce(p, yb)
+    loss = _mean_bce(probs, yb)
+    order, ac, sym = cache["order"], cache["ac"], cache["sym"]
 
-    dz2 = (p - yb) / batch                              # (B,)
+    dz2 = (probs[order] - yb[order]) / batch                # (B,), sorted rows
     da1 = np.outer(dz2, params.dense2_w)                # (B, hn)
     dz1 = da1 * (cache["z1"] > 0.0)
-    dzc = (dz1 @ params.dense1_w.T).reshape(batch * hp.conv_out_len, hp.nf)  # (B*P, nf)
-    dzc *= cache["zc"].reshape(dzc.shape) > 0.0
 
-    # dL/dtable[j][v] sums dzc over the windows whose tap j reads symbol
-    # v: one GEMM of a (ks*vocab, B*P) one-hot matrix with dzc
+    # Position p's GEMMs take its k live rows of dz1, then, in the all-PAD
+    # window's slot k, the sum of dz1 over the rows dead at p. Counts never
+    # grow with p, so no later position reads a row that slot overwrote.
+    dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
+    d = dz1.copy()
+    w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
+    dense1_w = np.empty_like(w1)
+    dzc = np.empty_like(ac)
+    for p, lo, k, m in _position_blocks(cache["counts"], batch):
+        if m > k:
+            d[k] = dead_sum[k]
+        np.matmul(ac[lo : lo + m].T, d[:m], out=dense1_w[p])
+        np.matmul(d[:m], w1[p].T, out=dzc[lo : lo + m])
+    dzc *= cache["zc"] > 0.0
+
+    # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads
+    # symbol v: one GEMM of a (ks*vocab, windows) one-hot matrix with dzc
     vocab = params.embedding.shape[0]
     cols = np.arange(dzc.shape[0])
     onehot = np.zeros((hp.ks * vocab, dzc.shape[0]))
     for j in range(hp.ks):
-        onehot[j * vocab + _taps(cache["x"], hp, j).reshape(-1), cols] = 1.0
+        onehot[j * vocab + sym[j], cols] = 1.0
     dtable = np.empty((hp.ks, vocab, hp.nf))
     np.matmul(onehot, dzc, out=dtable.reshape(hp.ks * vocab, hp.nf))
     embedding = dtable[0] @ params.conv_w[0].T
@@ -240,7 +320,7 @@ def backward_batch(
         embedding=embedding,
         conv_w=np.matmul(params.embedding.T, dtable),   # (ks, d, nf)
         conv_b=dzc.sum(axis=0),
-        dense1_w=cache["flat"].T @ dz1,
+        dense1_w=dense1_w.reshape(hp.flat_width, hp.hn),
         dense1_b=dz1.sum(axis=0),
         dense2_w=cache["a1"].T @ dz2,
         dense2_b=np.array([dz2.sum()]),

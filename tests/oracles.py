@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from tunneldetect.network import Hyperparams, forward_batch, _forward_cached, _mean_bce
+from tunneldetect.tokenizer import PAD_IDX
 
 
 def naive_forward(params, hp, x):
@@ -45,6 +46,44 @@ def naive_forward(params, hp, x):
     return 1.0 / (1.0 + math.exp(-z))
 
 
+def dense_reference(params, hp, x, y):
+    """Probabilities, mean BCE gradients and loss from the dense
+    computation: every im2col window of every row through the conv, and
+    the whole flattened conv output through one dense1 GEMM. Returns
+    (p, {block name: gradient}, loss)."""
+    batch, positions = x.shape[0], hp.conv_out_len
+    w_flat = params.conv_w.reshape(hp.ks * hp.d, hp.nf)
+    emb = params.embedding[x]                                          # (B, l, d)
+    windows = np.stack(
+        [emb[:, q * hp.sl : q * hp.sl + hp.ks].reshape(batch, -1) for q in range(positions)], axis=1
+    )                                                                  # (B, P, ks*d)
+    zc = windows @ w_flat + params.conv_b
+    flat = np.maximum(zc, 0.0).reshape(batch, -1)
+    z1 = flat @ params.dense1_w + params.dense1_b
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ params.dense2_w + params.dense2_b[0]
+    p = 1.0 / (1.0 + np.exp(-z2))
+
+    dz2 = (p - y) / batch
+    dz1 = np.outer(dz2, params.dense2_w) * (z1 > 0.0)
+    dzc = (dz1 @ params.dense1_w.T).reshape(zc.shape) * (zc > 0.0)    # (B, P, nf)
+    dwin = (dzc @ w_flat.T).reshape(batch, positions, hp.ks, hp.d)
+    dembedding = np.zeros_like(params.embedding)
+    for q in range(positions):
+        for j in range(hp.ks):
+            np.add.at(dembedding, x[:, q * hp.sl + j], dwin[:, q, j])
+    grads = {
+        "embedding": dembedding,
+        "conv_w": np.einsum("bpk,bpf->kf", windows, dzc).reshape(params.conv_w.shape),
+        "conv_b": dzc.sum(axis=(0, 1)),
+        "dense1_w": flat.T @ dz1,
+        "dense1_b": dz1.sum(axis=0),
+        "dense2_w": a1.T @ dz2,
+        "dense2_b": np.array([dz2.sum()]),
+    }
+    return p, grads, _mean_bce(p, y)
+
+
 def numeric_gradients(params, hp, x, y, h=1e-4):
     """Central finite differences of the mean BCE loss, one parameter at
     a time, probing only through the forward pass."""
@@ -77,30 +116,42 @@ def gradient_relative_error(analytic, numeric):
     return worst
 
 
-# Small configurations for the finite-difference check. Each seed is
-# pinned so that every conv/dense pre-activation sits farther from the
-# ReLU kink than the probe step can reach; the clearance is re-asserted
-# at run time so a drifted RNG fails loudly instead of flaking.
+# Small configurations for the finite-difference check: (hp, batch size,
+# seed, name lengths). Each seed is pinned so that every conv/dense
+# pre-activation sits farther from the ReLU kink than the probe step can
+# reach; the clearance is re-asserted at run time so a drifted RNG fails
+# loudly instead of flaking. With lengths None every symbol is drawn at
+# random; otherwise row i holds lengths[i] non-PAD symbols, then PAD, so
+# the batch has windows that read only PAD.
 GRADCHECK_CASES = [
-    (Hyperparams(nf=4, ks=3, sl=1, d=5, l=6, hn=3), 4, 23),
-    (Hyperparams(nf=8, ks=4, sl=2, d=6, l=8, hn=4), 3, 28),
-    (Hyperparams(nf=2, ks=2, sl=1, d=3, l=4, hn=2), 5, 9),
-    (Hyperparams(nf=6, ks=5, sl=1, d=4, l=7, hn=4), 4, 51),
-    (Hyperparams(nf=3, ks=8, sl=1, d=6, l=8, hn=2), 3, 1),
+    (Hyperparams(nf=4, ks=3, sl=1, d=5, l=6, hn=3), 4, 23, None),
+    (Hyperparams(nf=8, ks=4, sl=2, d=6, l=8, hn=4), 3, 28, None),
+    (Hyperparams(nf=2, ks=2, sl=1, d=3, l=4, hn=2), 5, 9, None),
+    (Hyperparams(nf=6, ks=5, sl=1, d=4, l=7, hn=4), 4, 51, None),
+    (Hyperparams(nf=3, ks=8, sl=1, d=6, l=8, hn=2), 3, 1, None),
+    (Hyperparams(nf=4, ks=3, sl=1, d=5, l=8, hn=3), 4, 15, (0, 8, 2, 5)),
 ]
 
 KINK_CLEARANCE = 1.5e-3  # 15x the finite-difference step
 
 
-def gradcheck_inputs(hp, batch_size, seed, vocab_size=45):
+def gradcheck_inputs(hp, batch_size, seed, lengths=None, vocab_size=45):
     rng = np.random.default_rng(seed * 7919)
-    x = rng.integers(0, vocab_size, size=(batch_size, hp.l))
+    if lengths is None:
+        x = rng.integers(0, vocab_size, size=(batch_size, hp.l))
+    else:
+        x = rng.integers(PAD_IDX + 1, vocab_size, size=(batch_size, hp.l))
+        for row, length in zip(x, lengths, strict=True):
+            row[length:] = PAD_IDX
     y = rng.integers(0, 2, size=batch_size).astype(float)
     return x, y
 
 
 def relu_kink_clearance(params, hp, x):
-    """Smallest |pre-activation| across both ReLU layers."""
+    """Smallest |pre-activation| across both ReLU layers. The packed conv
+    pre-activations hold every live window and, when some row has
+    windows past its last symbol, the one all-PAD window that stands for
+    them all, so a kink there is caught too."""
     _, cache = _forward_cached(params, hp, x)
     return float(min(np.abs(cache["zc"]).min(), np.abs(cache["z1"]).min()))
 

@@ -71,10 +71,10 @@ def test_criterion_2_gradient_correctness():
     start = time.time()
     assert len(GRADCHECK_CASES) >= 5
     worst_overall = 0.0
-    for hp, batch_size, seed in GRADCHECK_CASES:
+    for hp, batch_size, seed, lengths in GRADCHECK_CASES:
         assert hp.l <= 8 and hp.nf <= 8 and hp.d <= 6 and hp.hn <= 4
         params = init_params(hp, seed)
-        x, y = gradcheck_inputs(hp, batch_size, seed)
+        x, y = gradcheck_inputs(hp, batch_size, seed, lengths)
         clearance = relu_kink_clearance(params, hp, x)
         assert clearance > KINK_CLEARANCE, (
             f"seed {seed}: pre-activation {clearance:.2e} too close to a ReLU kink "

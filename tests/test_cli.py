@@ -49,6 +49,19 @@ class TestGenerateData:
         assert manifest["args"]["seed"] == 5
         assert str(out) in manifest["outputs"]
 
+    @pytest.mark.parametrize("threads", ["3", None])
+    def test_manifest_records_environment(self, tmp_path, monkeypatch, threads):
+        if threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        out = tmp_path / "corpus.csv"
+        assert main(["generate-data", "--out", str(out), "--seed", "5", "--per-class", "40"]) == 0
+        env = json.loads((tmp_path / "corpus.csv.manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["blas"] == "{name} {version}".format(**np.show_config(mode="dicts")["Build Dependencies"]["blas"])
+        assert env["OPENBLAS_NUM_THREADS"] == threads
+
     def test_identical_seeds_identical_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -92,6 +105,7 @@ class TestTrain:
         assert hp.nf == 8
         manifest = json.loads((tmp_path / "model.bin.manifest.json").read_text())
         assert manifest["subcommand"] == "train"
+        assert set(manifest["environment"]) == {"numpy", "blas", "OPENBLAS_NUM_THREADS"}
         assert manifest["metrics"]["parameter_count"] == params.num_scalars()
         assert len(manifest["metrics"]["epoch_losses"]) == 10
 

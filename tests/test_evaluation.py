@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from tunneldetect.datagen import LABEL_NORMAL, LABEL_TUNNELING, DomainSample
+from tunneldetect.datagen import LABEL_NORMAL, LABEL_TUNNELING, DomainSample, build_corpus, desk_scale_spec
 from tunneldetect.evaluation import (
     SCORE_CHUNK,
     Prediction,
@@ -16,7 +16,7 @@ from tunneldetect.evaluation import (
     predict_samples,
     score,
 )
-from tunneldetect.network import ModelParams, forward_batch, init_params
+from tunneldetect.network import DEFAULT_HYPERPARAMS, ModelParams, forward_batch, init_params
 from tunneldetect.tokenizer import encode_batch
 
 from oracles import recount_metrics
@@ -46,6 +46,21 @@ def detected_names(preds, threshold):
     return {p.name for p, c in zip(preds, called) if c}
 
 
+# How far a name's probability may move with the rows it is forwarded
+# with: the bound `score`'s docstring states.
+SCORE_BATCH_BOUND = 1e-12
+
+
+@pytest.fixture(scope="module")
+def reference_model():
+    return init_params(DEFAULT_HYPERPARAMS, seed=1)
+
+
+@pytest.fixture(scope="module")
+def desk_names():
+    return [s.name for s in build_corpus(desk_scale_spec(seed=7))]
+
+
 class TestScore:
     @pytest.mark.parametrize("n", [0, 1, SCORE_CHUNK - 1, SCORE_CHUNK, SCORE_CHUNK + 1, 600])
     def test_chunked_equals_one_batch(self, tiny_hp, tiny_model, n):
@@ -54,6 +69,19 @@ class TestScore:
         want = forward_batch(tiny_model, tiny_hp, encode_batch(names, tiny_hp.l))
         assert got.shape == (n,)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [SCORE_CHUNK + 1, 2 * SCORE_CHUNK + 1])
+    def test_reference_config_rows_agree_across_batches(self, reference_model, desk_names, n):
+        # at the reference size BLAS may round a row differently in another
+        # batch (one-row products go to gemv); score's docstring bounds that
+        names = desk_names[:n]
+        got = score(reference_model, DEFAULT_HYPERPARAMS, names)
+        x = encode_batch(names, DEFAULT_HYPERPARAMS.l)
+        want = forward_batch(reference_model, DEFAULT_HYPERPARAMS, x)
+        assert np.abs(got - want).max() <= SCORE_BATCH_BOUND
+        for i in [*range(0, n, 16), n - 1]:
+            alone = forward_batch(reference_model, DEFAULT_HYPERPARAMS, x[i : i + 1])[0]
+            assert abs(alone - want[i]) <= SCORE_BATCH_BOUND, names[i]
 
 
 class TestClassify:

@@ -134,16 +134,40 @@ class TestCorruption:
 
     def test_every_single_bit_flip_is_a_format_error(self, tmp_path):
         hp = Hyperparams(nf=1, ks=1, sl=1, d=1, l=1, hn=1)
+        params = init_params(hp, seed=1)
         path = tmp_path / "smallest.bin"
-        save(init_params(hp, seed=1), hp, path)
+        save(params, hp, path)
         blob = path.read_bytes()
+        # the header field under each byte; "size" is every length, count,
+        # ndim and dims field
+        fields = ["magic"] * len(MAGIC) + ["version"] * 4 + ["hyperparameters"] * 24
+        fields += ["size"] * 4 + ["literals"] * len(LITERALS) + ["size"] * 4
+        for name, arr in params.arrays():
+            fields += ["size"] + ["block name"] * len(name) + ["size"] * (1 + 4 * arr.ndim)
+            fields += ["values"] * (8 * arr.size)
+        fields += ["checksum"] * 4
+        assert len(fields) == len(blob)
+        raised = {field: set() for field in fields}
         for offset in range(len(blob)):
             for bit in range(8):
                 corrupt = bytearray(blob)
                 corrupt[offset] ^= 1 << bit
                 path.write_bytes(bytes(corrupt))
-                with pytest.raises(ModelFormatError):
+                with pytest.raises(ModelFormatError) as info:
                     load(path)
+                raised[fields[offset]].add(type(info.value))
+        # a damaged size field misplaces every later field, so the bytes
+        # can run out (truncation) before the checksum is compared
+        assert raised == {
+            "magic": {BadMagicError},
+            "version": {UnsupportedVersionError},
+            "hyperparameters": {ShapeMismatchError, ChecksumError},
+            "size": {TruncatedModelError, ChecksumError},
+            "literals": {ChecksumError},
+            "block name": {ChecksumError},
+            "values": {ChecksumError},
+            "checksum": {ChecksumError},
+        }
 
     def test_overflowing_dims_report_truncation(self, saved_model):
         _, _, path = saved_model

@@ -14,17 +14,37 @@ from tunneldetect.network import (
     forward_batch,
     init_params,
 )
-from tunneldetect.tokenizer import encode_batch, encode_domain
+from tunneldetect.tokenizer import PAD_IDX, encode_batch, encode_domain
 
 from oracles import (
     GRADCHECK_CASES,
     KINK_CLEARANCE,
+    dense_reference,
     gradcheck_inputs,
     gradient_relative_error,
     naive_forward,
     numeric_gradients,
     relu_kink_clearance,
 )
+
+
+CONV_HPS = [
+    Hyperparams(nf=6, ks=3, sl=1, d=8, l=12, hn=4),
+    Hyperparams(nf=64, ks=4, sl=1, d=32, l=45, hn=32),
+    Hyperparams(nf=16, ks=3, sl=2, d=10, l=20, hn=8),
+]
+CONV_IDS = ["tiny", "small", "stride2"]
+
+
+def packed_windows(cache, batch):
+    """(row, position) of each packed conv window, in packed order; row
+    -1 marks the all-PAD window that stands for a position's dead rows."""
+    rows, pos = [], []
+    for p, k in enumerate(cache["counts"].tolist()):
+        dead = int(k < batch)
+        rows += cache["order"][:k].tolist() + [-1] * dead
+        pos += [p] * (k + dead)
+    return np.array(rows, dtype=np.int64), np.array(pos, dtype=np.int64)
 
 
 class TestHyperparams:
@@ -135,30 +155,94 @@ class TestForward:
             with pytest.raises(ValueError, match="symbol indices"):
                 forward_batch(tiny_model, tiny_hp, x)
 
-    @pytest.mark.parametrize("hp", [
-        Hyperparams(nf=6, ks=3, sl=1, d=8, l=12, hn=4),
-        Hyperparams(nf=64, ks=4, sl=1, d=32, l=45, hn=32),
-        Hyperparams(nf=16, ks=3, sl=2, d=10, l=20, hn=8),
-    ], ids=["tiny", "small", "stride2"])
+    @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
     def test_conv_table_equals_im2col_reference(self, hp):
-        # the conv sums per-tap rows of (embedding @ conv_w[j]); it must
-        # match the embedding lookup followed by an im2col GEMM
+        # the conv sums per-tap rows of (embedding @ conv_w[j]) over the
+        # packed windows; each must match the embedding lookup followed by
+        # an im2col GEMM, and the packed windows must be exactly the
+        # windows that start at or before a row's last non-PAD symbol
         params = init_params(hp, seed=4)
         params.conv_b[:] = np.random.default_rng(13).normal(0, 0.3, size=hp.nf)
         w_flat = params.conv_w.reshape(hp.ks * hp.d, hp.nf)
+        pad_window = np.zeros(hp.ks * hp.d)
+        for j in range(hp.ks):
+            pad_window[j * hp.d : (j + 1) * hp.d] = params.embedding[PAD_IDX]
         rng = np.random.default_rng(14)
         for batch in (1, 2, 7, 128, 257):
             x = rng.integers(0, 45, size=(batch, hp.l))
+            for row, length in zip(x, rng.integers(0, hp.l + 1, size=batch)):
+                row[length:] = PAD_IDX
             emb = params.embedding[x]                                   # (B, l, d)
             windows = np.stack(
                 [emb[:, p * hp.sl : p * hp.sl + hp.ks].reshape(batch, -1) for p in range(hp.conv_out_len)],
                 axis=1,
             )                                                           # (B, P, ks*d)
-            want = windows @ w_flat + params.conv_b
             _, cache = _forward_cached(params, hp, x)
+            rows, pos = packed_windows(cache, batch)
+            live = {
+                (b, p)
+                for b in range(batch)
+                for p in range(hp.conv_out_len)
+                if any(x[b, i] != PAD_IDX for i in range(p * hp.sl, hp.l))
+            }
+            assert sorted(zip(rows[rows >= 0], pos[rows >= 0])) == sorted(live)
+            want = np.where((rows >= 0)[:, None], windows[rows, pos], pad_window) @ w_flat + params.conv_b
             # summation order differs, so entries that cancel to near zero
             # carry absolute rounding error on the scale of the whole output
             np.testing.assert_allclose(cache["zc"], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+# Largest |library - dense reference| allowed in each output and
+# gradient block, relative to that block's largest |reference| entry.
+DENSE_REFERENCE_BOUND = 1e-12
+
+
+def _rows_of_lengths(hp, lengths, rng):
+    """Rows holding lengths[i] non-PAD symbols, then PAD; a length of
+    "hole" is a full row with ks + sl PADs in the middle, so at least one
+    window inside the name reads only PAD."""
+    x = rng.integers(PAD_IDX + 1, 45, size=(len(lengths), hp.l))
+    for row, length in zip(x, lengths):
+        if length == "hole":
+            row[hp.l // 2 - hp.ks - hp.sl : hp.l // 2] = PAD_IDX
+        else:
+            row[length:] = PAD_IDX
+    return x
+
+
+class TestDenseReference:
+    """The packed forward and backward against the dense computation:
+    every im2col window of every row, and one GEMM over the whole
+    flattened conv output."""
+
+    @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
+    @pytest.mark.parametrize("lengths", [
+        [5],
+        [0],
+        ["full"],
+        [0, "full", "hole", 1, 2, 7, 3, "full", 0, 4],
+        [0, 0, 0],
+    ], ids=["one-row", "one-all-pad-row", "one-full-row", "mixed", "all-pad"])
+    def test_probabilities_and_gradients(self, hp, lengths):
+        rng = np.random.default_rng(15)
+        params = init_params(hp, seed=6)
+        params.conv_b[:] = rng.normal(0, 0.3, size=hp.nf)
+        params.dense1_b[:] = rng.normal(0, 0.3, size=hp.hn)
+        x = _rows_of_lengths(hp, [hp.l if n == "full" else n for n in lengths], rng)
+        x = x[rng.permutation(len(x))]
+        y = rng.integers(0, 2, size=len(x)).astype(float)
+
+        want_p, want_grads, want_loss = dense_reference(params, hp, x, y)
+        got_p = forward_batch(params, hp, x)
+        grads, loss = backward_batch(params, hp, x, y)
+
+        def close(got, want, what):
+            assert np.abs(got - want).max() <= DENSE_REFERENCE_BOUND * np.abs(want).max(), what
+
+        close(got_p, want_p, "probabilities")
+        close(np.array([loss]), np.array([want_loss]), "loss")
+        for name, g in grads.arrays():
+            close(g, want_grads[name], name)
 
 
 def _bce(p, y):
@@ -229,9 +313,9 @@ class TestBackward:
         assert grads.conv_b[0] == 0.0
 
     def test_finite_differences_single_case(self):
-        hp, batch_size, seed = GRADCHECK_CASES[0]
+        hp, batch_size, seed, lengths = GRADCHECK_CASES[0]
         params = init_params(hp, seed)
-        x, y = gradcheck_inputs(hp, batch_size, seed)
+        x, y = gradcheck_inputs(hp, batch_size, seed, lengths)
         assert relu_kink_clearance(params, hp, x) > KINK_CLEARANCE
         analytic, _ = backward_batch(params, hp, x, y)
         numeric = numeric_gradients(params, hp, x, y)
