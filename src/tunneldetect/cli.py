@@ -247,7 +247,7 @@ def cmd_grid_search(args) -> int:
 def cmd_evaluate(args) -> int:
     params, hp, _vocab = model_store.load(args.model)
     corpus = _load_labeled_corpus(args.corpus)
-    predictions = evaluation.predict_samples(params, hp, corpus, args.threshold)
+    predictions = evaluation.predict_samples(params, hp, corpus)
     report = evaluation.compute_metrics(predictions, args.threshold)
     print(evaluation.format_report(report))
 

@@ -103,14 +103,6 @@ class CorpusSpec:
         if not self.apexes:
             raise ValueError("at least one apex domain is required")
 
-    @property
-    def total_tunneling(self) -> int:
-        return sum(self.tunneling_counts.values())
-
-    @property
-    def total_normal(self) -> int:
-        return sum(self.normal_counts.values())
-
 
 def scale_counts(weights: Mapping[str, int], total: int) -> dict[str, int]:
     """Scale integer weights to sum to `total` (largest-remainder rounding,

@@ -28,11 +28,11 @@ SCORE_CHUNK = 256
 @dataclass(frozen=True)
 class Prediction:
     """Model output for one name; `sample` carries ground truth when the
-    input came from a labeled corpus."""
+    input came from a labeled corpus. Verdicts come from `is_tunneling`
+    at whatever threshold the caller picks."""
 
     name: str
     probability: float
-    predicted: str
     sample: DomainSample | None = None
 
 
@@ -77,35 +77,18 @@ def is_tunneling(probabilities, threshold: float) -> np.ndarray:
     return np.asarray(probabilities, dtype=np.float64) >= threshold
 
 
-def _predict(params, hp, names, threshold, samples) -> list[Prediction]:
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    probs = score(params, hp, names)
-    called = is_tunneling(probs, threshold)
-    return [
-        Prediction(n, float(p), LABEL_TUNNELING if c else LABEL_NORMAL, s)
-        for n, p, c, s in zip(names, probs, called, samples)
-    ]
+def _predict(params, hp, names, samples) -> list[Prediction]:
+    return [Prediction(n, float(p), s) for n, p, s in zip(names, score(params, hp, names), samples)]
 
 
-def predict_samples(
-    params: ModelParams,
-    hp: Hyperparams,
-    samples: Sequence[DomainSample],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> list[Prediction]:
+def predict_samples(params: ModelParams, hp: Hyperparams, samples: Sequence[DomainSample]) -> list[Prediction]:
     """Score a labeled corpus; each prediction keeps its sample."""
-    return _predict(params, hp, [s.name for s in samples], threshold, samples)
+    return _predict(params, hp, [s.name for s in samples], samples)
 
 
-def predict_names(
-    params: ModelParams,
-    hp: Hyperparams,
-    names: Sequence[str],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> list[Prediction]:
+def predict_names(params: ModelParams, hp: Hyperparams, names: Sequence[str]) -> list[Prediction]:
     """Score unlabeled names."""
-    return _predict(params, hp, names, threshold, [None] * len(names))
+    return _predict(params, hp, names, [None] * len(names))
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -142,10 +125,12 @@ def compute_metrics(predictions: Sequence[Prediction], threshold: float = DEFAUL
     """Per-class precision/recall/FPR/F1 with support, plus per-tool
     detection rates, all at the given threshold.
 
-    Verdicts are re-derived from the stored probabilities, so one scored
-    set can be re-evaluated across thresholds. Zero-denominator metrics
-    report 0 and set the class's `degenerate` flag.
+    Verdicts are derived from the stored probabilities, so one scored
+    set can be evaluated across thresholds in (0, 1). Zero-denominator
+    metrics report 0 and set the class's `degenerate` flag.
     """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if not predictions:
         raise ValueError("compute_metrics requires at least one prediction")
     samples = []

@@ -6,6 +6,7 @@ ranked by mean F1 of the tunneling class.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -13,17 +14,19 @@ import numpy as np
 
 from .datagen import LABEL_TUNNELING, DomainSample
 from .evaluation import compute_metrics, predict_samples
-from .network import CACHE_BLOCK, Hyperparams, ModelParams, backward_batch, init_params
-from .tokenizer import VOCAB_SIZE, encode_batch
+from .network import CACHE_BLOCK, Hyperparams, ModelParams, backward_batch, expected_shapes, init_params
+from .tokenizer import encode_batch
+
+# Adam's decay rates and denominator guard: the defaults of Kingma & Ba
+# (arXiv 1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def count_parameters(hp: Hyperparams, vocab_size: int = VOCAB_SIZE) -> int:
-    """Total trainable scalars: embedding + conv kernels/bias + both dense
-    layers. Matches ModelParams allocation exactly."""
-    conv = hp.ks * hp.d * hp.nf + hp.nf
-    dense1 = hp.conv_out_len * hp.nf * hp.hn + hp.hn
-    dense2 = hp.hn + 1
-    return vocab_size * hp.d + conv + dense1 + dense2
+def count_parameters(hp: Hyperparams) -> int:
+    """Total trainable scalars over every weight block."""
+    return sum(math.prod(shape) for shape in expected_shapes(hp).values())
 
 
 @dataclass
@@ -32,41 +35,30 @@ class TrainConfig:
     batch_size: int = 128
     seed: int = 0
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
 
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators shaped like the parameters, plus
-    the step counter and optimizer constants."""
+    """First/second-moment accumulators shaped like the parameters, the
+    learning rate and the step counter."""
 
     m: ModelParams
     v: ModelParams
+    lr: float
     t: int = 0
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def fresh(cls, params: ModelParams, cfg: TrainConfig | None = None) -> "AdamState":
         cfg = cfg or TrainConfig()
-        return cls(
-            m=ModelParams.zeros_like(params),
-            v=ModelParams.zeros_like(params),
-            lr=cfg.lr,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            eps=cfg.eps,
-        )
+        return cls(m=ModelParams.zeros_like(params), v=ModelParams.zeros_like(params), lr=cfg.lr)
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tuple[ModelParams, AdamState]:
@@ -86,7 +78,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tupl
         if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError(f"{name}: parameters and moments must be C-contiguous to update in place")
     state.t += 1
-    lr, beta1, beta2, eps = state.lr, state.beta1, state.beta2, state.eps
+    lr, beta1, beta2, eps = state.lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
     scratch_a, scratch_b = np.empty(CACHE_BLOCK), np.empty(CACHE_BLOCK)
@@ -185,7 +177,7 @@ def kfold_cross_validate(
         val_set = set(held_out)
         train_split = [s for i, s in enumerate(dataset) if i not in val_set]
         params = train(train_split, hp, cfg)
-        preds = predict_samples(params, hp, [dataset[i] for i in held_out], 0.5)
+        preds = predict_samples(params, hp, [dataset[i] for i in held_out])
         scores.append(compute_metrics(preds, 0.5).per_class[LABEL_TUNNELING].f1)
     scores = np.array(scores)
     return float(scores.mean()), float(scores.std())

@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from tunneldetect.network import Hyperparams, forward_batch, _forward_cached, _mean_bce
-from tunneldetect.tokenizer import PAD_IDX
+from tunneldetect.network import Hyperparams, forward_batch, _mean_bce
+from tunneldetect.tokenizer import PAD_IDX, VOCAB_SIZE
 
 
 def naive_forward(params, hp, x):
@@ -46,11 +46,10 @@ def naive_forward(params, hp, x):
     return 1.0 / (1.0 + math.exp(-z))
 
 
-def dense_reference(params, hp, x, y):
-    """Probabilities, mean BCE gradients and loss from the dense
-    computation: every im2col window of every row through the conv, and
-    the whole flattened conv output through one dense1 GEMM. Returns
-    (p, {block name: gradient}, loss)."""
+def dense_preactivations(params, hp, x):
+    """The dense computation up to dense1: every im2col window of every
+    row through the conv, then the whole flattened conv output through
+    one dense1 GEMM. Returns (windows, zc, flat, z1)."""
     batch, positions = x.shape[0], hp.conv_out_len
     w_flat = params.conv_w.reshape(hp.ks * hp.d, hp.nf)
     emb = params.embedding[x]                                          # (B, l, d)
@@ -59,7 +58,16 @@ def dense_reference(params, hp, x, y):
     )                                                                  # (B, P, ks*d)
     zc = windows @ w_flat + params.conv_b
     flat = np.maximum(zc, 0.0).reshape(batch, -1)
-    z1 = flat @ params.dense1_w + params.dense1_b
+    return windows, zc, flat, flat @ params.dense1_w + params.dense1_b
+
+
+def dense_reference(params, hp, x, y):
+    """Probabilities, mean BCE gradients and loss from the dense
+    computation (see dense_preactivations). Returns
+    (p, {block name: gradient}, loss)."""
+    batch, positions = x.shape[0], hp.conv_out_len
+    w_flat = params.conv_w.reshape(hp.ks * hp.d, hp.nf)
+    windows, zc, flat, z1 = dense_preactivations(params, hp, x)
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.dense2_w + params.dense2_b[0]
     p = 1.0 / (1.0 + np.exp(-z2))
@@ -135,12 +143,12 @@ GRADCHECK_CASES = [
 KINK_CLEARANCE = 1.5e-3  # 15x the finite-difference step
 
 
-def gradcheck_inputs(hp, batch_size, seed, lengths=None, vocab_size=45):
+def gradcheck_inputs(hp, batch_size, seed, lengths=None):
     rng = np.random.default_rng(seed * 7919)
     if lengths is None:
-        x = rng.integers(0, vocab_size, size=(batch_size, hp.l))
+        x = rng.integers(0, VOCAB_SIZE, size=(batch_size, hp.l))
     else:
-        x = rng.integers(PAD_IDX + 1, vocab_size, size=(batch_size, hp.l))
+        x = rng.integers(PAD_IDX + 1, VOCAB_SIZE, size=(batch_size, hp.l))
         for row, length in zip(x, lengths, strict=True):
             row[length:] = PAD_IDX
     y = rng.integers(0, 2, size=batch_size).astype(float)
@@ -148,12 +156,12 @@ def gradcheck_inputs(hp, batch_size, seed, lengths=None, vocab_size=45):
 
 
 def relu_kink_clearance(params, hp, x):
-    """Smallest |pre-activation| across both ReLU layers. The packed conv
-    pre-activations hold every live window and, when some row has
-    windows past its last symbol, the one all-PAD window that stands for
-    them all, so a kink there is caught too."""
-    _, cache = _forward_cached(params, hp, x)
-    return float(min(np.abs(cache["zc"]).min(), np.abs(cache["z1"]).min()))
+    """Smallest |pre-activation| across both ReLU layers, over every
+    im2col window of every row: the live windows the packed conv
+    computes and the all-PAD windows its one all-PAD window stands for,
+    so a kink there is caught too."""
+    _, zc, _, z1 = dense_preactivations(params, hp, x)
+    return float(min(np.abs(zc).min(), np.abs(z1).min()))
 
 
 def confusion_recount(truths, verdicts, positive):

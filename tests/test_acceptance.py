@@ -56,10 +56,10 @@ from oracles import (
 
 def test_criterion_1_parameter_count_exact():
     start = time.time()
-    counted = count_parameters(DEFAULT_HYPERPARAMS, 45)
+    counted = count_parameters(DEFAULT_HYPERPARAMS)
     assert counted == 11_425_685
     params = init_params(DEFAULT_HYPERPARAMS, seed=0)
-    allocated = params.num_scalars()
+    allocated = sum(a.size for _, a in params.arrays())
     assert allocated == 11_425_685
     elapsed = time.time() - start
     assert elapsed < 1.0
@@ -136,7 +136,7 @@ def test_criterion_4_desk_scale_training_target():
     cfg = TrainConfig(epochs=10, batch_size=128, seed=2026)
     params = train(train_set, DEFAULT_HYPERPARAMS, cfg)
 
-    preds = predict_samples(params, DEFAULT_HYPERPARAMS, test_set, threshold=0.5)
+    preds = predict_samples(params, DEFAULT_HYPERPARAMS, test_set)
     at_05 = compute_metrics(preds, 0.5).per_class[LABEL_TUNNELING]
     at_09 = compute_metrics(preds, 0.90).per_class[LABEL_TUNNELING]
     elapsed = time.time() - start

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,7 +110,7 @@ class TestTrain:
         manifest = json.loads((tmp_path / "model.bin.manifest.json").read_text())
         assert manifest["subcommand"] == "train"
         assert set(manifest["environment"]) == {"numpy", "blas", "OPENBLAS_NUM_THREADS"}
-        assert manifest["metrics"]["parameter_count"] == params.num_scalars()
+        assert manifest["metrics"]["parameter_count"] == sum(a.size for _, a in params.arrays())
         assert len(manifest["metrics"]["epoch_losses"]) == 10
 
     def test_missing_corpus_is_io_error(self, tmp_path):
@@ -124,6 +128,15 @@ class TestTrain:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--corpus", "x.csv"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5", "0"])
+    def test_bad_learning_rate_is_data_error(self, tmp_path, toy_corpus_file, lr):
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--corpus", str(toy_corpus_file), "--out", str(out),
+                   "--hp", TOY_HP_FLAG, "--lr", lr])
+        assert rc == 4
+        assert not out.exists()
+        assert not (tmp_path / "m.bin.manifest.json").exists()
 
 
 class TestEvaluate:
@@ -238,8 +251,12 @@ class TestClassifyCache:
 
     def uncached_stdout(self, model_file, qnames, threshold=0.5):
         params, hp, _vocab = load(model_file)
-        preds = evaluation.predict_names(params, hp, qnames, threshold)
-        return "".join(f"{p.name}\t{p.probability:.6f}\t{p.predicted}\n" for p in preds)
+        preds = evaluation.predict_names(params, hp, qnames)
+        called = evaluation.is_tunneling([p.probability for p in preds], threshold)
+        return "".join(
+            f"{p.name}\t{p.probability:.6f}\t{datagen.LABEL_TUNNELING if c else datagen.LABEL_NORMAL}\n"
+            for p, c in zip(preds, called)
+        )
 
     def classify(self, model_file, path, monkeypatch):
         rows = []
@@ -302,6 +319,50 @@ class TestGridSearch:
         )
         assert rows[0]["mean_f1"] == mean_f1
         assert rows[0]["sd_f1"] == sd_f1
+
+    @pytest.mark.parametrize("lr", ["nan", "-0.5"])
+    def test_bad_learning_rate_is_data_error(self, tmp_path, toy_corpus_file, lr):
+        report_path = tmp_path / "grid.json"
+        rc = main(["grid-search", "--corpus", str(toy_corpus_file), "--lr", lr,
+                   "--report", str(report_path)])
+        assert rc == 4
+        assert not report_path.exists()
+        assert not (tmp_path / "grid.json.manifest.json").exists()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestBlasThreads:
+    """Training in a fresh process at 1 and 2 BLAS threads: each setting
+    reproduces its model file byte for byte, and the manifest says which
+    setting made it."""
+
+    # large enough that OpenBLAS splits some GEMMs across two threads (on
+    # a 2-CPU machine the 1- and 2-thread models differ), so each setting
+    # is checked with threaded arithmetic
+    HP_FLAG = "nf=64 ks=4 sl=1 d=32 l=45 hn=32"
+
+    def train(self, tmp_path, corpus, threads, run):
+        out = tmp_path / f"model-{threads}-{run}.bin"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        subprocess.run(
+            [sys.executable, "-c", "import sys; from tunneldetect.cli import main; sys.exit(main())",
+             "train", "--corpus", str(corpus), "--out", str(out), "--hp", self.HP_FLAG,
+             "--epochs", "1", "--batch", "128", "--seed", "4"],
+            env=env, check=True, capture_output=True,
+        )
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        return out.read_bytes(), manifest["environment"]["OPENBLAS_NUM_THREADS"]
+
+    def test_each_setting_reproduces_its_model(self, tmp_path):
+        corpus = tmp_path / "corpus.csv"
+        datagen.write_corpus(datagen.build_corpus(datagen.desk_scale_spec(seed=3, per_class=128)), corpus)
+        for threads in ("1", "2"):
+            (first, env1), (second, env2) = (self.train(tmp_path, corpus, threads, run) for run in (1, 2))
+            assert first == second, f"OPENBLAS_NUM_THREADS={threads}"
+            assert env1 == env2 == threads
 
 
 def test_version_flag(capsys):

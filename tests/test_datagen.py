@@ -81,7 +81,8 @@ class TestScaleCounts:
         assert spec.tunneling_counts == {
             "dnscat2": 23, "dnsexfiltrator": 78, "iodine": 346, "notspecified": 7553,
         }
-        assert spec.total_tunneling == spec.total_normal == datagen.FULL_PER_CLASS == 8000
+        totals = sum(spec.tunneling_counts.values()), sum(spec.normal_counts.values())
+        assert totals == (datagen.FULL_PER_CLASS, datagen.FULL_PER_CLASS) == (8000, 8000)
 
 
 class TestIodine:

@@ -22,14 +22,13 @@ from tunneldetect.tokenizer import encode_batch
 from oracles import recount_metrics
 
 
-def make_prediction(prob, truth, tool="none", name=None, threshold=0.5):
+def make_prediction(prob, truth, tool="none", name=None):
     label = LABEL_TUNNELING if truth == "t" else LABEL_NORMAL
     if tool == "none" and label == LABEL_TUNNELING:
         tool = "iodine"
     name = name or f"{truth}-{prob:.3f}.example.com"
     sample = DomainSample(name, label, tool if label == LABEL_TUNNELING else "none")
-    predicted = LABEL_TUNNELING if prob >= threshold else LABEL_NORMAL
-    return Prediction(name, prob, predicted, sample)
+    return Prediction(name, prob, sample)
 
 
 def random_prediction_set(rng, n=None):
@@ -85,42 +84,41 @@ class TestScore:
 
 
 class TestClassify:
-    """Single names through predict_names."""
+    """Single names through predict_names, called by is_tunneling."""
 
     def test_zero_weight_model_is_normal_at_high_threshold(self, tiny_hp, tiny_model):
         zero = ModelParams.zeros_like(tiny_model)
-        [pred] = predict_names(zero, tiny_hp, ["example.com"], threshold=0.90)
+        [pred] = predict_names(zero, tiny_hp, ["example.com"])
         assert pred.probability == 0.5
-        assert pred.predicted == LABEL_NORMAL
+        assert not is_tunneling([pred.probability], 0.90)[0]
 
     def test_boundary_resolves_toward_detection(self, tiny_hp, tiny_model):
         zero = ModelParams.zeros_like(tiny_model)
-        [pred] = predict_names(zero, tiny_hp, ["example.com"], threshold=0.5)
+        [pred] = predict_names(zero, tiny_hp, ["example.com"])
         assert pred.probability == 0.5
-        assert pred.predicted == LABEL_TUNNELING  # p == threshold
+        assert is_tunneling([pred.probability], 0.5)[0]  # p == threshold
 
     def test_invalid_threshold_rejected(self, tiny_hp, tiny_model):
-        sample = DomainSample("example.com", LABEL_NORMAL)
-        for threshold in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                predict_names(tiny_model, tiny_hp, ["example.com"], threshold=threshold)
-            with pytest.raises(ValueError):
-                predict_samples(tiny_model, tiny_hp, [sample], threshold=threshold)
+        # scoring takes no threshold; the metrics over its output reject one
+        # outside (0, 1)
+        preds = predict_samples(tiny_model, tiny_hp, [DomainSample("example.com", LABEL_NORMAL)])
+        for threshold in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="threshold"):
+                compute_metrics(preds, threshold)
 
     def test_predict_samples_matches_predict_names(self, tiny_hp, tiny_model):
         samples = [
             DomainSample("aaa.com", LABEL_NORMAL),
             DomainSample("deadbeef00.evil.example", LABEL_TUNNELING, "dnscat2"),
         ]
-        preds = predict_samples(tiny_model, tiny_hp, samples, 0.9)
+        preds = predict_samples(tiny_model, tiny_hp, samples)
         for s, p in zip(samples, preds):
-            [single] = predict_names(tiny_model, tiny_hp, [s.name], 0.9)
+            [single] = predict_names(tiny_model, tiny_hp, [s.name])
             assert p.probability == single.probability
-            assert p.predicted == single.predicted
             assert p.sample is s
 
     def test_predict_names_has_no_ground_truth(self, tiny_hp, tiny_model):
-        preds = predict_names(tiny_model, tiny_hp, ["a.com", "b.org"], 0.9)
+        preds = predict_names(tiny_model, tiny_hp, ["a.com", "b.org"])
         assert all(p.sample is None for p in preds)
 
 
@@ -244,12 +242,12 @@ class TestComputeMetrics:
 
     def test_unlabeled_rejected(self):
         with pytest.raises(ValueError, match="ground-truth"):
-            compute_metrics([Prediction("x.com", 0.5, LABEL_NORMAL)], 0.5)
+            compute_metrics([Prediction("x.com", 0.5)], 0.5)
 
 
 def breakdown(preds):
-    """per_tool_breakdown over the verdicts stored in the predictions."""
-    called = np.array([p.predicted == LABEL_TUNNELING for p in preds])
+    """per_tool_breakdown over the verdicts at threshold 0.5."""
+    called = is_tunneling([p.probability for p in preds], 0.5)
     return per_tool_breakdown([p.sample for p in preds], called)
 
 

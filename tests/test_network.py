@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,7 +190,9 @@ class TestForward:
             want = np.where((rows >= 0)[:, None], windows[rows, pos], pad_window) @ w_flat + params.conv_b
             # summation order differs, so entries that cancel to near zero
             # carry absolute rounding error on the scale of the whole output
-            np.testing.assert_allclose(cache["zc"], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+            np.testing.assert_allclose(
+                cache["ac"], np.maximum(want, 0.0), rtol=1e-12, atol=1e-12 * np.abs(want).max()
+            )
 
 
 # Largest |library - dense reference| allowed in each output and
@@ -275,7 +278,8 @@ class TestBackward:
         assert grads.embedding[2].any()
 
     def test_gradients_follow_embedding_rows(self, tiny_hp):
-        params = init_params(tiny_hp, 6, vocab_size=3)
+        full = init_params(tiny_hp, 6)
+        params = dataclasses.replace(full, embedding=full.embedding[:3].copy())
         x = np.resize([0, 2], (2, tiny_hp.l))  # embedding row 1 unused
         grads, _ = backward_batch(params, tiny_hp, x, np.array([0.0, 1.0]))
         for (name, g), (_, p) in zip(grads.arrays(), params.arrays()):
@@ -331,4 +335,4 @@ class TestBackward:
 
 def test_model_scalar_count_matches_expected_shapes(tiny_hp, tiny_model):
     want = sum(int(np.prod(s)) for s in expected_shapes(tiny_hp).values())
-    assert tiny_model.num_scalars() == want
+    assert sum(a.size for _, a in tiny_model.arrays()) == want

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,9 @@ from tunneldetect.datagen import LABEL_TUNNELING, DomainSample
 from tunneldetect.network import DEFAULT_HYPERPARAMS, Hyperparams, ModelParams, init_params
 from tunneldetect.tokenizer import encode_batch
 from tunneldetect.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     GridResult,
     TrainConfig,
@@ -27,30 +31,30 @@ from conftest import make_separable_corpus
 
 class TestCountParameters:
     def test_reference_configuration(self):
-        assert count_parameters(DEFAULT_HYPERPARAMS, 45) == 11_425_685
+        assert count_parameters(DEFAULT_HYPERPARAMS) == 11_425_685
 
     def test_minimal_configuration(self):
         hp = Hyperparams(nf=1, ks=1, sl=1, d=1, l=1, hn=1)
-        assert count_parameters(hp, 1) == 7
+        assert count_parameters(hp) == 51  # 45 embedding rows of width 1, then 6
 
     def test_embedding_term(self):
         hp = DEFAULT_HYPERPARAMS
         conv = hp.ks * hp.d * hp.nf + hp.nf
         dense1 = hp.conv_out_len * hp.nf * hp.hn + hp.hn
         dense2 = hp.hn + 1
-        assert count_parameters(hp, 45) - conv - dense1 - dense2 == 4_500
+        assert count_parameters(hp) - conv - dense1 - dense2 == 4_500
 
     def test_matches_allocation_for_default_grid(self):
         for hp in default_grid():
             params = init_params(hp, 0)
-            assert params.num_scalars() == count_parameters(hp), hp
+            assert sum(a.size for _, a in params.arrays()) == count_parameters(hp), hp
 
 
 def _one_weight_model():
-    """Minimal model where every block has one scalar, for hand-checkable
-    optimizer arithmetic."""
+    """Minimal model where every block but the embedding has one scalar,
+    for hand-checkable optimizer arithmetic."""
     hp = Hyperparams(nf=1, ks=1, sl=1, d=1, l=1, hn=1)
-    params = init_params(hp, 0, vocab_size=1)
+    params = init_params(hp, 0)
     for _, arr in params.arrays():
         arr[:] = 0.0
     return hp, params
@@ -59,7 +63,7 @@ def _one_weight_model():
 class TestAdamStep:
     def test_zero_gradients_leave_params_unchanged(self):
         _, params = _one_weight_model()
-        before = params.copy()
+        before = copy.deepcopy(params)
         grads = ModelParams.zeros_like(params)
         state = AdamState.fresh(params)
         adam_step(params, grads, state)
@@ -94,14 +98,14 @@ class TestAdamStep:
         grads = ModelParams.zeros_like(params)
         for _, arr in grads.arrays():
             arr[:] = 3.7
-        before = params.copy()
+        before = copy.deepcopy(params)
         adam_step(params, grads, state)
         for (name, a), (_, b) in zip(params.arrays(), before.arrays()):
             np.testing.assert_array_equal(a, b, err_msg=name)
 
     def test_shape_mismatch_rejected(self):
         hp, params = _one_weight_model()
-        other = init_params(Hyperparams(nf=2, ks=1, sl=1, d=1, l=1, hn=1), 0, vocab_size=1)
+        other = init_params(Hyperparams(nf=2, ks=1, sl=1, d=1, l=1, hn=1), 0)
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, other, AdamState.fresh(params))
 
@@ -126,10 +130,10 @@ class TestAdamStep:
     def test_blocked_update_equals_whole_array_expression(self):
         # 100,003 scalars: several CACHE_BLOCK slices and a ragged tail
         params = self._model_with_block(100_003)
-        want = params.copy()
+        want = copy.deepcopy(params)
         state = AdamState.fresh(params)
         m, v = ModelParams.zeros_like(want), ModelParams.zeros_like(want)
-        lr, b1, b2, eps = state.lr, state.beta1, state.beta2, state.eps
+        lr, b1, b2, eps = state.lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         rng = np.random.default_rng(21)
         for t in range(1, 4):
             grads = ModelParams(*(rng.normal(0, 10.0 ** -t, size=p.shape) for _, p in params.arrays()))
@@ -154,6 +158,17 @@ class TestAdamStep:
         finally:
             tracemalloc.stop()
         assert peak < params.dense1_w.nbytes / 10
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf"), 0.0, -0.5])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(lr=lr)
+
+    def test_positive_learning_rates_accepted(self):
+        for lr in (1e-300, 0.001, 10.0):
+            assert TrainConfig(lr=lr).lr == lr
 
 
 TOY_HP = Hyperparams(nf=8, ks=3, sl=1, d=8, l=10, hn=8)
