@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -104,17 +105,34 @@ def _threshold_flag(text: str) -> float:
     return value
 
 
+def _read_spec(path, seed: int | None) -> datagen.CorpusSpec:
+    """The corpus spec in a JSON file, with `seed` (when not None) in
+    place of the file's. Malformed content raises ValueError naming the
+    file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError(f"expected a JSON object, got {raw!r}")
+            file_seed = raw.get("seed", 0)
+            if isinstance(file_seed, bool) or not isinstance(file_seed, int):
+                raise ValueError(f"seed must be an integer, got {file_seed!r}")
+            return datagen.CorpusSpec(
+                tunneling_counts=raw["tunneling"],
+                normal_counts=raw["normal"],
+                apexes=raw.get("apexes", datagen.DEFAULT_APEXES),
+                seed=file_seed if seed is None else seed,
+            )
+        except KeyError as exc:
+            raise ValueError(f"corpus spec {path} lacks the key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"corpus spec {path}: {exc}") from None
+
+
 def cmd_generate_data(args) -> int:
     per_class = None if args.spec else (datagen.FULL_PER_CLASS if args.full else args.per_class)
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        spec = datagen.CorpusSpec(
-            tunneling_counts=dict(raw["tunneling"]),
-            normal_counts=dict(raw["normal"]),
-            apexes=tuple(raw.get("apexes", datagen.DEFAULT_APEXES)),
-            seed=args.seed if args.seed is not None else int(raw.get("seed", 0)),
-        )
+        spec = _read_spec(args.spec, args.seed)
     else:
         spec = datagen.desk_scale_spec(
             seed=args.seed if args.seed is not None else 0,
@@ -125,10 +143,9 @@ def cmd_generate_data(args) -> int:
     pools = datagen.default_normal_pools()
     feed_inputs = []
     for origin, path in args.normal_feed or []:
-        samples, skipped = datagen.load_normal(path, origin)
+        pools[origin], skipped = datagen.load_normal(path)
         if skipped:
             print(f"note: {skipped} invalid lines skipped in {path}", file=sys.stderr)
-        pools[origin] = [s.name for s in samples]
         feed_inputs.append(path)
 
     corpus = datagen.build_corpus(spec, pools)
@@ -163,12 +180,27 @@ def _load_labeled_corpus(path):
     return corpus
 
 
+def _add_train_flags(p: argparse.ArgumentParser) -> None:
+    """The training flags shared by train and grid-search, defaulting to
+    TrainConfig's defaults."""
+    defaults = training.TrainConfig()
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch", type=int, default=defaults.batch_size)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--lr", type=float, default=defaults.lr)
+
+
+def _train_config(args) -> tuple[training.TrainConfig, dict]:
+    """The TrainConfig of the flags _add_train_flags added, and its
+    manifest entries."""
+    cfg = training.TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed, lr=args.lr)
+    return cfg, {"epochs": cfg.epochs, "batch": cfg.batch_size, "seed": cfg.seed, "lr": cfg.lr}
+
+
 def cmd_train(args) -> int:
     corpus = _load_labeled_corpus(args.corpus)
-    hp = args.hp or DEFAULT_HYPERPARAMS
-    cfg = training.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch, seed=args.seed, lr=args.lr
-    )
+    hp = args.hp
+    cfg, cfg_args = _train_config(args)
     losses: list[float] = []
 
     def progress(epoch, loss):
@@ -180,14 +212,7 @@ def cmd_train(args) -> int:
     _write_manifest(
         args.out,
         "train",
-        {
-            "corpus": str(args.corpus),
-            "hp": {k: getattr(hp, k) for k in ("nf", "ks", "sl", "d", "l", "hn")},
-            "epochs": cfg.epochs,
-            "batch": cfg.batch_size,
-            "seed": cfg.seed,
-            "lr": cfg.lr,
-        },
+        {"corpus": str(args.corpus), "hp": asdict(hp), **cfg_args},
         inputs=[args.corpus],
         outputs=[args.out],
         metrics={
@@ -202,14 +227,12 @@ def cmd_train(args) -> int:
 def cmd_grid_search(args) -> int:
     corpus = _load_labeled_corpus(args.corpus)
     grid = training.parse_grid_file(args.grid) if args.grid else training.default_grid()
-    cfg = training.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch, seed=args.seed, lr=args.lr
-    )
+    cfg, cfg_args = _train_config(args)
     results = training.grid_search(corpus, grid, cfg, k=args.folds)
 
     rows = [
         {
-            "hp": {k: getattr(r.hp, k) for k in ("nf", "ks", "sl", "d", "l", "hn")},
+            "hp": asdict(r.hp),
             "mean_f1": r.mean_f1,
             "sd_f1": r.sd_f1,
             "parameters": r.parameter_count,
@@ -217,11 +240,9 @@ def cmd_grid_search(args) -> int:
         for r in results
     ]
     print(f"{'mean_f1':>8} {'sd_f1':>8} {'params':>12}  hp")
-    for r in results:
-        print(
-            f"{r.mean_f1:>8.4f} {r.sd_f1:>8.4f} {r.parameter_count:>12,d}  "
-            f"nf={r.hp.nf} ks={r.hp.ks} sl={r.hp.sl} d={r.hp.d} l={r.hp.l} hn={r.hp.hn}"
-        )
+    for r, row in zip(results, rows):
+        hp_text = " ".join(f"{k}={v}" for k, v in row["hp"].items())
+        print(f"{r.mean_f1:>8.4f} {r.sd_f1:>8.4f} {r.parameter_count:>12,d}  {hp_text}")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2, sort_keys=True)
@@ -233,9 +254,7 @@ def cmd_grid_search(args) -> int:
                 "corpus": str(args.corpus),
                 "grid": str(args.grid) if args.grid else "default",
                 "folds": args.folds,
-                "seed": cfg.seed,
-                "epochs": cfg.epochs,
-                "batch": cfg.batch_size,
+                **cfg_args,
             },
             inputs=[p for p in (args.corpus, args.grid) if p],
             outputs=[args.report],
@@ -377,21 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a corpus CSV")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--hp", type=_hp_flag, default=None, help="e.g. 'nf=1024 ks=4 sl=1 d=100 l=45 hn=256'")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.001)
+    p.add_argument("--hp", type=_hp_flag, default=DEFAULT_HYPERPARAMS, help="e.g. 'nf=1024 ks=4 sl=1 d=100 l=45 hn=256'")
+    _add_train_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("grid-search", help="cross-validated hyperparameter search")
     p.add_argument("--corpus", required=True)
     p.add_argument("--grid", help="grid file (one key=value combination per line)")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=0.001)
+    _add_train_flags(p)
     p.add_argument("--report", help="JSON report to write")
     p.set_defaults(func=cmd_grid_search)
 

@@ -1,6 +1,7 @@
 """Synthetic corpus generation: tunneling-domain emulators for the common
-DNS tunneling tools, word-like normal domains, and balanced corpus assembly
-with a stratified train/test split.
+DNS tunneling tools, normal domains from bundled feed files and a cz-like
+synthesizer, and balanced corpus assembly with a stratified train/test
+split.
 
 The tunneling generators are lexical emulators only: they reproduce the
 query-name encodings the tools emit (base32, hex, base64url payload labels
@@ -97,11 +98,18 @@ class CorpusSpec:
 
     def __post_init__(self):
         for group in (self.tunneling_counts, self.normal_counts):
+            if not isinstance(group, Mapping):
+                raise ValueError(f"counts must map names to integers, got {group!r}")
             for key, n in group.items():
+                if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                    raise ValueError(f"count for {key!r} must be an integer, got {n!r}")
                 if n < 0:
                     raise ValueError(f"negative count for {key!r}: {n}")
+        if not isinstance(self.apexes, (list, tuple)) or not all(isinstance(a, str) for a in self.apexes):
+            raise ValueError(f"apexes must be a list of domain names, got {self.apexes!r}")
         if not self.apexes:
             raise ValueError("at least one apex domain is required")
+        object.__setattr__(self, "apexes", tuple(self.apexes))
 
 
 def scale_counts(weights: Mapping[str, int], total: int) -> dict[str, int]:
@@ -212,19 +220,8 @@ _GENERATORS = {
 
 
 # ---------------------------------------------------------------------------
-# Normal-domain synthesis. These produced the bundled feed files and act as
-# the fallback when no feed file is supplied for an origin.
-
-_ONSETS = [
-    "b", "c", "d", "f", "g", "h", "j", "k", "l", "m", "n", "p", "r", "s",
-    "t", "v", "w", "z", "br", "ch", "cl", "cr", "dr", "fl", "fr", "gr",
-    "pl", "pr", "sh", "sl", "sp", "st", "th", "tr",
-]
-_VOWELS = ["a", "e", "i", "o", "u", "a", "e", "i", "o", "ai", "ea", "ee", "oo", "ou"]
-_CODAS = ["", "", "", "", "n", "r", "s", "t", "l", "m", "k", "nd", "ng", "st", "x"]
-
-_ALEXA_TLDS = [".com"] * 10 + [".net", ".net", ".org", ".org", ".io", ".co", ".info", ".tv", ".me", ".app"]
-_BAMBENEK_TLDS = [".com"] * 6 + [".net", ".org", ".ru", ".pl", ".de", ".eu", ".us", ".cc", ".top", ".biz"]
+# Normal domains: the alexa-like and bambenek-like pools are the feed files
+# shipped in `data/`; the cz-like pool is synthesized.
 
 _CZ_ONSETS = [
     "st", "str", "skr", "zdr", "chr", "vr", "hr", "br", "tr", "pr", "kr",
@@ -232,16 +229,6 @@ _CZ_ONSETS = [
 ]
 _CZ_NUCLEI = ["a", "e", "i", "o", "u", "y", "r", "l", "e", "o"]
 _CZ_CODAS = ["", "c", "k", "s", "z", "ch", "st", "sk", "n", "m", "v", "t"]
-
-
-def _word(rng: np.random.Generator, lo: int = 2, hi: int = 4) -> str:
-    syllables = int(rng.integers(lo, hi + 1))
-    parts = []
-    for _ in range(syllables):
-        parts.append(_ONSETS[rng.integers(0, len(_ONSETS))])
-        parts.append(_VOWELS[rng.integers(0, len(_VOWELS))])
-    parts.append(_CODAS[rng.integers(0, len(_CODAS))])
-    return "".join(parts)
 
 
 def _unique_names(make, n: int) -> list[str]:
@@ -253,37 +240,6 @@ def _unique_names(make, n: int) -> list[str]:
             seen.add(name)
             names.append(name)
     return names
-
-
-def alexa_like_names(n: int, seed: int) -> list[str]:
-    """Pronounceable brand-style domains on popular TLDs."""
-    rng = np.random.default_rng(seed)
-
-    def make():
-        word = _word(rng)
-        if rng.random() < 0.15:
-            word += _word(rng, 1, 2)
-        return word + _ALEXA_TLDS[rng.integers(0, len(_ALEXA_TLDS))]
-
-    return _unique_names(make, n)
-
-
-def bambenek_like_names(n: int, seed: int) -> list[str]:
-    """Feed-style domains: word pairs, hyphenations and digit suffixes on a
-    broader TLD mix."""
-    rng = np.random.default_rng(seed)
-
-    def make():
-        style = rng.random()
-        if style < 0.4:
-            word = _word(rng) + _word(rng, 1, 2)
-        elif style < 0.7:
-            word = f"{_word(rng)}-{_word(rng, 1, 2)}"
-        else:
-            word = _word(rng) + str(rng.integers(0, 100))
-        return word + _BAMBENEK_TLDS[rng.integers(0, len(_BAMBENEK_TLDS))]
-
-    return _unique_names(make, n)
 
 
 def cz_like_names(n: int, seed: int) -> list[str]:
@@ -303,57 +259,34 @@ def cz_like_names(n: int, seed: int) -> list[str]:
     return _unique_names(make, n)
 
 
-_NORMAL_FALLBACKS = {
-    ORIGIN_ALEXA: alexa_like_names,
-    ORIGIN_BAMBENEK: bambenek_like_names,
-    ORIGIN_CZ: cz_like_names,
-}
-
-
 # ---------------------------------------------------------------------------
 # Feed loading and corpus assembly.
 
-def _parse_feed_lines(lines: Iterable[str]) -> tuple[list[str], int]:
+def load_normal(path) -> tuple[list[str], int]:
+    """Normal domains of a one-per-line feed file.
+
+    Returns (names, skipped_line_count); lines starting with '#' are
+    comments, invalid hostnames are counted but never fatal.
+    """
     names, skipped = [], 0
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name = strip_trailing_dot(line)
-        if is_plausible_hostname(name):
-            names.append(name)
-        else:
-            skipped += 1
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for raw in fh:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            name = strip_trailing_dot(line)
+            if is_plausible_hostname(name):
+                names.append(name)
+            else:
+                skipped += 1
     return names, skipped
 
 
-def load_normal(path, origin_tag: str) -> tuple[list[DomainSample], int]:
-    """Load normal domains from a one-per-line feed file.
-
-    Returns (samples, skipped_line_count); lines starting with '#' are
-    comments, invalid hostnames are counted but never fatal.
-    """
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        names, skipped = _parse_feed_lines(fh)
-    samples = [DomainSample(n, LABEL_NORMAL, TOOL_NONE, origin_tag) for n in names]
-    return samples, skipped
-
-
-def bundled_feed_names(origin: str) -> list[str]:
-    """Names from the feed file shipped with the package."""
-    try:
-        fname = _FEED_FILES[origin]
-    except KeyError:
-        raise ValueError(f"no bundled feed for origin {origin!r}") from None
-    text = importlib.resources.files("tunneldetect").joinpath("data", fname).read_text("utf-8")
-    names, _ = _parse_feed_lines(text.splitlines())
-    return names
-
-
 def default_normal_pools() -> dict[str, list[str]]:
-    """Bundled alexa-like and bambenek-like pools; cz-like intentionally
-    absent so it falls back to its generator."""
-    return {origin: bundled_feed_names(origin) for origin in _FEED_FILES}
+    """The alexa-like and bambenek-like pools from the bundled feed files;
+    cz-like is absent, so build_corpus synthesizes it."""
+    data = importlib.resources.files(__package__) / "data"
+    return {origin: load_normal(data / fname)[0] for origin, fname in _FEED_FILES.items()}
 
 
 def build_corpus(spec: CorpusSpec, normal_pools: Mapping[str, list[str]] | None = None) -> list[DomainSample]:
@@ -361,7 +294,7 @@ def build_corpus(spec: CorpusSpec, normal_pools: Mapping[str, list[str]] | None 
 
     Tunneling samples come from the tool emulators, split across apexes.
     Normal samples are drawn without replacement from the given pools;
-    origins missing from the pools fall back to their synthesizer.
+    a cz-like origin missing from them is synthesized.
     Deterministic for a given spec.
     """
     if normal_pools is None:
@@ -393,8 +326,8 @@ def build_corpus(spec: CorpusSpec, normal_pools: Mapping[str, list[str]] | None 
             rng = np.random.default_rng(child)
             picks = rng.permutation(len(pool))[:count]
             names = [pool[i] for i in picks]
-        elif origin in _NORMAL_FALLBACKS:
-            names = _NORMAL_FALLBACKS[origin](count, child)
+        elif origin == ORIGIN_CZ:
+            names = cz_like_names(count, child)
         else:
             raise ValueError(f"no pool or generator for normal origin {origin!r}")
         samples.extend(DomainSample(n, LABEL_NORMAL, TOOL_NONE, origin) for n in names)

@@ -9,7 +9,7 @@ plus per-tool detection rates over the tunneling samples.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -189,17 +189,7 @@ def report_to_dict(report: MetricsReport) -> dict:
     return {
         "threshold": report.threshold,
         "total": report.total,
-        "classes": {
-            label: {
-                "precision": m.precision,
-                "recall": m.recall,
-                "fpr": m.fpr,
-                "f1": m.f1,
-                "support": m.support,
-                "degenerate": m.degenerate,
-            }
-            for label, m in report.per_class.items()
-        },
+        "classes": {label: asdict(m) for label, m in report.per_class.items()},
         "tool_detection_rates": dict(report.per_tool),
     }
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
+from dataclasses import astuple
 
 import numpy as np
 
@@ -79,7 +80,7 @@ def save(params: ModelParams, hp: Hyperparams, path) -> None:
             raise ValueError(f"{name} has shape {arr.shape}, expected {shapes[name]} for these hyperparameters")
 
     body = [MAGIC, struct.pack("<I", VERSION)]
-    body.append(struct.pack("<6I", hp.nf, hp.ks, hp.sl, hp.d, hp.l, hp.hn))
+    body.append(struct.pack("<6I", *astuple(hp)))
     literals = LITERALS.encode("utf-8")
     body.append(struct.pack("<I", len(literals)))
     body.append(literals)
@@ -131,9 +132,9 @@ def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
     if version != VERSION:
         raise UnsupportedVersionError(f"model format version {version}, reader supports {VERSION}")
 
-    nf, ks, sl, d, l, hn = (cur.u32() for _ in range(6))
+    stored_hp = [cur.u32() for _ in range(6)]
     try:
-        hp = Hyperparams(nf=nf, ks=ks, sl=sl, d=d, l=l, hn=hn)
+        hp = Hyperparams(*stored_hp)
     except ValueError as exc:
         raise ShapeMismatchError(f"invalid stored hyperparameters: {exc}") from None
     literals = cur.take(cur.u32())

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -219,7 +219,7 @@ def default_grid() -> list[Hyperparams]:
     return [Hyperparams(nf=nf, ks=ks, sl=1, d=d, l=45, hn=hn) for nf, ks, d, hn in combos]
 
 
-_GRID_KEYS = ("nf", "ks", "sl", "d", "l", "hn")
+_GRID_KEYS = tuple(f.name for f in fields(Hyperparams))
 
 
 def parse_grid_line(line: str) -> Hyperparams:

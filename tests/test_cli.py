@@ -84,6 +84,25 @@ class TestGenerateData:
         corpus = datagen.read_corpus(out)
         assert len(corpus) == 30
 
+    @pytest.mark.parametrize("body", [
+        {"tunneling": 5, "normal": {}},
+        [{"tunneling": {"iodine": 5}, "normal": {}}],
+        {"tunneling": {"iodine": "5"}, "normal": {}},
+        {"tunneling": {"iodine": 2.5}, "normal": {}},
+        {"tunneling": {"iodine": True}, "normal": {}},
+        {"tunneling": {"iodine": 5}, "normal": {}, "apexes": "ab.com"},
+        {"tunneling": {"iodine": 5}, "normal": {}, "seed": 2.7},
+        {"tunneling": {"iodine": 5}},
+    ], ids=["counts-not-object", "top-level-list", "string-count", "float-count",
+            "bool-count", "apexes-string", "float-seed", "missing-normal"])
+    def test_malformed_spec_is_data_error(self, tmp_path, capsys, body):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(body))
+        out = tmp_path / "corpus.csv"
+        assert main(["generate-data", "--out", str(out), "--spec", str(spec)]) == 4
+        assert str(spec) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_normal_feed(self, tmp_path):
         feed = tmp_path / "feed.txt"
         feed.write_text("\n".join(f"site{i}.example" for i in range(50)) + "\n")
@@ -319,6 +338,18 @@ class TestGridSearch:
         )
         assert rows[0]["mean_f1"] == mean_f1
         assert rows[0]["sd_f1"] == sd_f1
+
+    def test_manifest_records_learning_rate(self, tmp_path, toy_corpus_file):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(TOY_HP_FLAG + "\n")
+        report_path = tmp_path / "r.json"
+        rc = main([
+            "grid-search", "--corpus", str(toy_corpus_file), "--grid", str(grid),
+            "--folds", "2", "--epochs", "1", "--lr", "0.01", "--report", str(report_path),
+        ])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        assert manifest["args"]["lr"] == 0.01
 
     @pytest.mark.parametrize("lr", ["nan", "-0.5"])
     def test_bad_learning_rate_is_data_error(self, tmp_path, toy_corpus_file, lr):

@@ -1,3 +1,6 @@
+import hashlib
+import importlib.resources
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from tunneldetect.datagen import (
     LABEL_NORMAL,
     LABEL_TUNNELING,
     build_corpus,
-    bundled_feed_names,
     cz_like_names,
     default_normal_pools,
     desk_scale_spec,
@@ -191,33 +193,26 @@ class TestLoadNormal:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "feed.txt"
         p.write_text("")
-        samples, skipped = load_normal(p, "alexa-like")
-        assert samples == [] and skipped == 0
+        assert load_normal(p) == ([], 0)
 
     def test_basic_line(self, tmp_path):
         p = tmp_path / "feed.txt"
         p.write_text("example.com\n")
-        samples, skipped = load_normal(p, "alexa-like")
-        assert len(samples) == 1 and skipped == 0
-        assert samples[0] == DomainSample("example.com", LABEL_NORMAL, "none", "alexa-like")
+        assert load_normal(p) == (["example.com"], 0)
 
     def test_invalid_line_skipped_and_counted(self, tmp_path):
         p = tmp_path / "feed.txt"
         p.write_text(">>>\nexample.com\n# comment\n\nok.org.\n")
-        samples, skipped = load_normal(p, "bambenek-like")
-        assert [s.name for s in samples] == ["example.com", "ok.org"]
-        assert skipped == 1
+        assert load_normal(p) == (["example.com", "ok.org"], 1)
 
     def test_space_before_trailing_dot_skipped(self, tmp_path):
         p = tmp_path / "feed.txt"
         p.write_text("a.com .\n b.org. \n")
-        samples, skipped = load_normal(p, "alexa-like")
-        assert [s.name for s in samples] == ["b.org"]
-        assert skipped == 1
+        assert load_normal(p) == (["b.org"], 1)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            load_normal(tmp_path / "nope.txt", "alexa-like")
+            load_normal(tmp_path / "nope.txt")
 
 
 class TestBundledFeeds:
@@ -227,14 +222,20 @@ class TestBundledFeeds:
         assert len(pools["bambenek-like"]) >= 2820
 
     def test_all_names_plausible(self):
-        for origin in ("alexa-like", "bambenek-like"):
-            names = bundled_feed_names(origin)
+        for names in default_normal_pools().values():
             assert all(is_plausible_hostname(n) for n in names)
             assert len(set(names)) == len(names)
 
-    def test_unknown_origin_rejected(self):
-        with pytest.raises(ValueError, match="no bundled feed"):
-            bundled_feed_names("mystery")
+    def test_feed_files_pinned(self):
+        # The feed files are the only source of these pools (their seeds
+        # are in their header comments), so any edit to them must show.
+        data = importlib.resources.files("tunneldetect") / "data"
+        digests = {f: hashlib.sha256((data / f).read_bytes()).hexdigest() for f in ("alexa_like.txt", "bambenek_like.txt")}
+        assert digests == {
+            "alexa_like.txt": "33c100d95a91d1efa185cdca8f42acec15056a3cfb8bca3d027341a94046a0aa",
+            "bambenek_like.txt": "598229576518c2321bb0f43208d4f53d644e6a263b0c70275d3ca68985a905ce",
+        }
+        assert {k: len(v) for k, v in default_normal_pools().items()} == {"alexa-like": 6000, "bambenek-like": 4000}
 
     def test_cz_generator_fallback(self):
         names = cz_like_names(100, seed=1)

@@ -62,6 +62,13 @@ class TestRoundtrip:
         save(params, tiny_hp, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_header_field_order(self, tmp_path):
+        hp = Hyperparams(nf=2, ks=3, sl=1, d=5, l=7, hn=11)
+        path = tmp_path / "model.bin"
+        save(init_params(hp, seed=0), hp, path)
+        start = len(MAGIC) + 4
+        assert path.read_bytes()[start : start + 24] == struct.pack("<6I", 2, 3, 1, 5, 7, 11)
+
     def test_save_rejects_mismatched_shapes(self, tmp_path, tiny_hp):
         params = init_params(tiny_hp, seed=3)
         other = Hyperparams(nf=tiny_hp.nf + 1, ks=tiny_hp.ks, sl=tiny_hp.sl,
