@@ -18,11 +18,9 @@ from .datagen import (
 )
 from .evaluation import (
     MetricsReport,
-    Prediction,
     compute_metrics,
     export_scatter,
     per_tool_breakdown,
-    predict_names,
     predict_samples,
     score,
 )
@@ -33,7 +31,7 @@ from .network import (
     ModelParams,
     init_params,
 )
-from .tokenizer import Vocabulary, build_vocabulary, encode_domain
+from .tokenizer import Vocabulary, encode_batch
 from .training import (
     TrainConfig,
     count_parameters,

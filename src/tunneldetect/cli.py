@@ -266,13 +266,13 @@ def cmd_grid_search(args) -> int:
 def cmd_evaluate(args) -> int:
     params, hp, _vocab = model_store.load(args.model)
     corpus = _load_labeled_corpus(args.corpus)
-    predictions = evaluation.predict_samples(params, hp, corpus)
-    report = evaluation.compute_metrics(predictions, args.threshold)
+    probabilities = evaluation.predict_samples(params, hp, corpus)
+    report = evaluation.compute_metrics(corpus, probabilities, args.threshold)
     print(evaluation.format_report(report))
 
     outputs = []
     if args.scatter:
-        evaluation.export_scatter(predictions, args.scatter)
+        evaluation.export_scatter(corpus, probabilities, args.scatter)
         outputs.append(args.scatter)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -109,6 +109,9 @@ class CorpusSpec:
             raise ValueError(f"apexes must be a list of domain names, got {self.apexes!r}")
         if not self.apexes:
             raise ValueError("at least one apex domain is required")
+        for apex in self.apexes:
+            if not is_plausible_hostname(apex):
+                raise ValueError(f"apex {apex!r} is not a plausible hostname")
         object.__setattr__(self, "apexes", tuple(self.apexes))
 
 

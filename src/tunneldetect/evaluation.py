@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,17 +23,6 @@ DEFAULT_THRESHOLD = 0.90
 # Names encoded and forwarded per batch, so scoring memory stays bounded
 # however many names are scored.
 SCORE_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Model output for one name; `sample` carries ground truth when the
-    input came from a labeled corpus. Verdicts come from `is_tunneling`
-    at whatever threshold the caller picks."""
-
-    name: str
-    probability: float
-    sample: DomainSample | None = None
 
 
 @dataclass(frozen=True)
@@ -77,18 +66,14 @@ def is_tunneling(probabilities, threshold: float) -> np.ndarray:
     return np.asarray(probabilities, dtype=np.float64) >= threshold
 
 
-def _predict(params, hp, names, samples) -> list[Prediction]:
-    return [Prediction(n, float(p), s) for n, p, s in zip(names, score(params, hp, names), samples)]
+def predict_samples(params: ModelParams, hp: Hyperparams, samples: Sequence[DomainSample]) -> np.ndarray:
+    """Tunneling probability of each sample's name, in corpus order."""
+    return score(params, hp, [s.name for s in samples])
 
 
-def predict_samples(params: ModelParams, hp: Hyperparams, samples: Sequence[DomainSample]) -> list[Prediction]:
-    """Score a labeled corpus; each prediction keeps its sample."""
-    return _predict(params, hp, [s.name for s in samples], samples)
-
-
-def predict_names(params: ModelParams, hp: Hyperparams, names: Sequence[str]) -> list[Prediction]:
-    """Score unlabeled names."""
-    return _predict(params, hp, names, [None] * len(names))
+# perfbench/child.py wraps this name when it traces a run; the alias goes
+# once perfbench reads the library's own stats instead of patching names.
+predict_names = score
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -121,24 +106,22 @@ def _class_metrics(tp: int, fp: int, fn: int, tn: int) -> ClassMetrics:
     )
 
 
-def compute_metrics(predictions: Sequence[Prediction], threshold: float = DEFAULT_THRESHOLD) -> MetricsReport:
+def compute_metrics(samples: Sequence[DomainSample], probabilities, threshold: float = DEFAULT_THRESHOLD) -> MetricsReport:
     """Per-class precision/recall/FPR/F1 with support, plus per-tool
-    detection rates, all at the given threshold.
+    detection rates, all at the given threshold; `probabilities[i]` is
+    the score of `samples[i]`.
 
-    Verdicts are derived from the stored probabilities, so one scored
-    set can be evaluated across thresholds in (0, 1). Zero-denominator
-    metrics report 0 and set the class's `degenerate` flag.
+    Verdicts are derived from the probabilities, so one scored set can
+    be evaluated across thresholds in (0, 1). Zero-denominator metrics
+    report 0 and set the class's `degenerate` flag.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if not predictions:
-        raise ValueError("compute_metrics requires at least one prediction")
-    samples = []
-    for p in predictions:
-        if p.sample is None:
-            raise ValueError(f"prediction for {p.name!r} has no ground-truth sample")
-        samples.append(p.sample)
-    called = is_tunneling([p.probability for p in predictions], threshold)
+    if len(samples) != len(probabilities):
+        raise ValueError(f"{len(samples)} samples but {len(probabilities)} probabilities")
+    if not samples:
+        raise ValueError("compute_metrics requires at least one sample")
+    called = is_tunneling(probabilities, threshold)
     truth = np.array([s.label == LABEL_TUNNELING for s in samples], dtype=bool)
 
     # one confusion count with tunneling as the positive class; the
@@ -146,7 +129,7 @@ def compute_metrics(predictions: Sequence[Prediction], threshold: float = DEFAUL
     tp = int(np.count_nonzero(called & truth))
     fp = int(np.count_nonzero(called & ~truth))
     fn = int(np.count_nonzero(~called & truth))
-    tn = len(predictions) - tp - fp - fn
+    tn = len(samples) - tp - fp - fn
     return MetricsReport(
         threshold=threshold,
         per_class={
@@ -154,7 +137,7 @@ def compute_metrics(predictions: Sequence[Prediction], threshold: float = DEFAUL
             LABEL_TUNNELING: _class_metrics(tp, fp, fn, tn),
         },
         per_tool=per_tool_breakdown(samples, called),
-        total=len(predictions),
+        total=len(samples),
     )
 
 
@@ -172,16 +155,14 @@ def per_tool_breakdown(samples: Sequence[DomainSample], called: np.ndarray) -> d
     return rates
 
 
-def export_scatter(predictions: Iterable[Prediction], path) -> None:
+def export_scatter(samples: Sequence[DomainSample], probabilities, path) -> None:
     """CSV of per-name probabilities (`name,true_label,tool,probability`)
     for external plotting; rows in input order, 9-digit probabilities."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["name", "true_label", "tool", "probability"])
-        for p in predictions:
-            label = p.sample.label if p.sample is not None else ""
-            tool = p.sample.tool if p.sample is not None else "none"
-            writer.writerow([p.name, label, tool, f"{p.probability:.9f}"])
+        for s, p in zip(samples, probabilities, strict=True):
+            writer.writerow([s.name, s.label, s.tool, f"{p:.9f}"])
 
 
 def report_to_dict(report: MetricsReport) -> dict:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 from .tokenizer import LITERALS
 
 MAX_NAME_LEN = 253
 MAX_LABEL_LEN = 63
+
+# Alphabet characters in either case; re.ASCII keeps KELVIN SIGN from matching 'k'.
+_ALPHABET_RUN = re.compile(f"[{re.escape(LITERALS)}]+", re.ASCII | re.IGNORECASE)
 
 
 def strip_trailing_dot(name: str) -> str:
@@ -33,7 +38,7 @@ def is_plausible_hostname(name: str) -> bool:
     labels, oversize labels, characters outside the tokenizer's literal
     alphabet after lowercasing) are rejected.
     """
-    return name.isascii() and has_valid_lengths(name) and all(ch in LITERALS for ch in name.lower())
+    return _ALPHABET_RUN.fullmatch(name) is not None and has_valid_lengths(name)
 
 
 def matches_apex(qname: str, apex: str) -> bool:

@@ -29,7 +29,7 @@ from dataclasses import astuple
 import numpy as np
 
 from .network import Hyperparams, ModelParams, expected_shapes
-from .tokenizer import LITERALS, Vocabulary, build_vocabulary
+from .tokenizer import LITERALS, Vocabulary
 
 MAGIC = b"DNSTCNN\x01"
 VERSION = 1
@@ -168,4 +168,4 @@ def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
             raise ShapeMismatchError(f"{name} stored as {shape}, hyperparameters imply {want}")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
-    return ModelParams(**arrays), hp, build_vocabulary()
+    return ModelParams(**arrays), hp, Vocabulary(LITERALS)

@@ -21,7 +21,11 @@ LITERALS = "abcdefghijklmnopqrstuvwxyz0123456789-._=+/~"
 
 VOCAB_SIZE = 2 + len(LITERALS)  # 45
 
-_INDEX = {ch: 2 + i for i, ch in enumerate(LITERALS)}
+# Index of every byte of an ASCII-encoded key: each literal its own,
+# 0xFF (padding, never produced by ASCII encoding) PAD, any other OOV.
+_BYTE_INDEX = np.full(256, OOV_IDX, dtype=np.int64)
+_BYTE_INDEX[np.frombuffer(LITERALS.encode("ascii"), dtype=np.uint8)] = np.arange(2, VOCAB_SIZE)
+_BYTE_INDEX[0xFF] = PAD_IDX
 
 
 @dataclass(frozen=True)
@@ -31,38 +35,22 @@ class Vocabulary:
     literals: str
 
 
-def build_vocabulary() -> Vocabulary:
-    """Return the fixed alphabet: PAD, OOV, a-z, 0-9, '-._=+/~' (45 entries)."""
-    return Vocabulary(LITERALS)
-
-
 def encoding_key(name: str, length: int) -> str:
-    """The characters of ``name`` that encode_domain maps to indices: the
+    """The characters of ``name`` that encode_batch maps to indices: the
     name lowercased, then its first ``length`` characters. Names with
     equal keys encode to identical rows."""
     return name.lower()[:length]
 
 
-def encode_domain(name: str, length: int) -> np.ndarray:
-    """Encode a domain name as ``length`` vocabulary indices.
+def encode_batch(names: list[str], length: int) -> np.ndarray:
+    """Encode names into an (n, length) int64 array of vocabulary indices.
 
-    The name is lowercased, the first ``length`` characters are mapped to
-    indices (unknown characters become OOV) and shorter names are
-    right-padded with PAD. Truncation keeps the leftmost characters, where
-    the payload-bearing labels of tunneling queries live.
+    Row i is the indices of ``encoding_key(names[i], length)``,
+    right-padded with PAD, so truncation keeps the leftmost characters,
+    where the payload-bearing labels of tunneling queries live. Encoding
+    to ASCII with "replace" makes each non-ASCII character one '?' (OOV).
     """
     if length < 1:
         raise ValueError(f"sequence length must be >= 1, got {length}")
-    out = np.full(length, PAD_IDX, dtype=np.int64)
-    for i, ch in enumerate(encoding_key(name, length)):
-        out[i] = _INDEX.get(ch, OOV_IDX)
-    return out
-
-
-def encode_batch(names: list[str], length: int) -> np.ndarray:
-    """Encode many names into an (n, length) int64 array."""
-    batch = np.full((len(names), length), PAD_IDX, dtype=np.int64)
-    for i, name in enumerate(names):
-        batch[i] = encode_domain(name, length)
-    return batch
-
+    raw = b"".join(encoding_key(name, length).encode("ascii", "replace").ljust(length, b"\xff") for name in names)
+    return _BYTE_INDEX[np.frombuffer(raw, dtype=np.uint8)].reshape(len(names), length)

@@ -29,7 +29,7 @@ def count_parameters(hp: Hyperparams) -> int:
     return sum(math.prod(shape) for shape in expected_shapes(hp).values())
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
     batch_size: int = 128
@@ -56,8 +56,7 @@ class AdamState:
     t: int = 0
 
     @classmethod
-    def fresh(cls, params: ModelParams, cfg: TrainConfig | None = None) -> "AdamState":
-        cfg = cfg or TrainConfig()
+    def fresh(cls, params: ModelParams, cfg: TrainConfig = TrainConfig()) -> "AdamState":
         return cls(m=ModelParams.zeros_like(params), v=ModelParams.zeros_like(params), lr=cfg.lr)
 
 
@@ -114,7 +113,7 @@ def _encode_dataset(dataset: Sequence[DomainSample], hp: Hyperparams) -> tuple[n
 def train(
     dataset: Sequence[DomainSample],
     hp: Hyperparams,
-    cfg: TrainConfig | None = None,
+    cfg: TrainConfig = TrainConfig(),
     progress: Callable[[int, float], None] | None = None,
 ) -> ModelParams:
     """Train a fresh model with Adam on seeded, shuffled minibatches.
@@ -122,7 +121,6 @@ def train(
     Deterministic given (dataset order, hp, cfg.seed). `progress`,
     if given, receives (epoch, mean epoch loss) after each epoch.
     """
-    cfg = cfg or TrainConfig()
     if len({s.label for s in dataset}) < 2:
         raise ValueError("training requires samples from both classes")
     x, y = _encode_dataset(dataset, hp)
@@ -165,20 +163,20 @@ def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[list[int]
 def kfold_cross_validate(
     dataset: Sequence[DomainSample],
     hp: Hyperparams,
-    cfg: TrainConfig | None = None,
+    cfg: TrainConfig = TrainConfig(),
     k: int = 5,
 ) -> tuple[float, float]:
     """Stratified k-fold CV; returns (mean, population sd) of the held-out
     tunneling-class F1 at threshold 0.5."""
-    cfg = cfg or TrainConfig()
     folds = stratified_folds([s.label for s in dataset], k, cfg.seed)
     scores = []
     for held_out in folds:
         val_set = set(held_out)
         train_split = [s for i, s in enumerate(dataset) if i not in val_set]
         params = train(train_split, hp, cfg)
-        preds = predict_samples(params, hp, [dataset[i] for i in held_out])
-        scores.append(compute_metrics(preds, 0.5).per_class[LABEL_TUNNELING].f1)
+        val_split = [dataset[i] for i in held_out]
+        probs = predict_samples(params, hp, val_split)
+        scores.append(compute_metrics(val_split, probs, 0.5).per_class[LABEL_TUNNELING].f1)
     scores = np.array(scores)
     return float(scores.mean()), float(scores.std())
 
@@ -194,14 +192,13 @@ class GridResult:
 def grid_search(
     dataset: Sequence[DomainSample],
     grid: Sequence[Hyperparams],
-    cfg: TrainConfig | None = None,
+    cfg: TrainConfig = TrainConfig(),
     k: int = 5,
 ) -> list[GridResult]:
     """Cross-validate every combination; results sorted by mean F1
     descending, ties broken by fewer parameters, then grid order."""
     if not grid:
         raise ValueError("grid must contain at least one combination")
-    cfg = cfg or TrainConfig()
     results = []
     for hp in grid:
         mean_f1, sd_f1 = kfold_cross_validate(dataset, hp, cfg, k=k)

@@ -92,17 +92,17 @@ def test_criterion_2_gradient_correctness():
 
 
 def test_criterion_3_metrics_oracle():
-    from test_evaluation import make_prediction, random_prediction_set
+    from test_evaluation import columns, make_prediction, random_prediction_set
 
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        preds = random_prediction_set(rng)
+        samples, probs = random_prediction_set(rng)
         threshold = float(rng.uniform(0.05, 0.95))
-        report = compute_metrics(preds, threshold)
-        truths = [p.sample.label for p in preds]
+        report = compute_metrics(samples, probs, threshold)
+        truths = [s.label for s in samples]
         verdicts = [
-            LABEL_TUNNELING if p.probability >= threshold else LABEL_NORMAL
-            for p in preds
+            LABEL_TUNNELING if p >= threshold else LABEL_NORMAL
+            for p in probs
         ]
         for positive in (LABEL_NORMAL, LABEL_TUNNELING):
             m = report.per_class[positive]
@@ -116,7 +116,7 @@ def test_criterion_3_metrics_oracle():
         + [make_prediction(0.1, "t") for _ in range(121)]
         + [make_prediction(0.9, "t") for _ in range(1465)]
     )
-    m = compute_metrics(preds, 0.5).per_class[LABEL_NORMAL]
+    m = compute_metrics(*columns(preds), 0.5).per_class[LABEL_NORMAL]
     assert m.precision == pytest.approx(0.9342, abs=5e-5)
     assert m.recall == pytest.approx(0.9948, abs=5e-5)
     assert abs(m.f1 - 0.9635) <= 0.0005
@@ -136,9 +136,9 @@ def test_criterion_4_desk_scale_training_target():
     cfg = TrainConfig(epochs=10, batch_size=128, seed=2026)
     params = train(train_set, DEFAULT_HYPERPARAMS, cfg)
 
-    preds = predict_samples(params, DEFAULT_HYPERPARAMS, test_set)
-    at_05 = compute_metrics(preds, 0.5).per_class[LABEL_TUNNELING]
-    at_09 = compute_metrics(preds, 0.90).per_class[LABEL_TUNNELING]
+    probs = predict_samples(params, DEFAULT_HYPERPARAMS, test_set)
+    at_05 = compute_metrics(test_set, probs, 0.5).per_class[LABEL_TUNNELING]
+    at_09 = compute_metrics(test_set, probs, 0.90).per_class[LABEL_TUNNELING]
     elapsed = time.time() - start
 
     assert at_05.f1 >= 0.95, f"tunneling F1 at 0.5 = {at_05.f1:.4f}"
@@ -153,13 +153,13 @@ def test_criterion_5_threshold_monotonicity():
 
     rng = np.random.default_rng(7)
     for _ in range(50):
-        preds = random_prediction_set(rng, 120)
+        samples, probs = random_prediction_set(rng, 120)
         previous = None
         previous_recall = None
         for t in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
-            called = is_tunneling([p.probability for p in preds], t)
-            detected = frozenset(p.name for p, c in zip(preds, called) if c)
-            recall = compute_metrics(preds, t).per_class[LABEL_TUNNELING].recall
+            called = is_tunneling(probs, t)
+            detected = frozenset(s.name for s, c in zip(samples, called) if c)
+            recall = compute_metrics(samples, probs, t).per_class[LABEL_TUNNELING].recall
             if previous is not None:
                 assert detected <= previous
                 assert recall <= previous_recall + 1e-15

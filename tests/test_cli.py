@@ -93,8 +93,14 @@ class TestGenerateData:
         {"tunneling": {"iodine": 5}, "normal": {}, "apexes": "ab.com"},
         {"tunneling": {"iodine": 5}, "normal": {}, "seed": 2.7},
         {"tunneling": {"iodine": 5}},
+        {"tunneling": {"iodine": 5}, "normal": {}, "apexes": ["bad apex!"]},
+        {"tunneling": {"iodine": 5}, "normal": {}, "apexes": ["ok.example", "x y"]},
+        {"tunneling": {"iodine": 5}, "normal": {}, "apexes": [""]},
+        {"tunneling": {"iodine": 5}, "normal": {}, "apexes": ["evil.com."]},
+        {"tunneling": {"iodine": 5}, "normal": {}, "apexes": ["ex\u212aample.com"]},
     ], ids=["counts-not-object", "top-level-list", "string-count", "float-count",
-            "bool-count", "apexes-string", "float-seed", "missing-normal"])
+            "bool-count", "apexes-string", "float-seed", "missing-normal",
+            "apex-bad-chars", "apex-blank", "apex-empty", "apex-trailing-dot", "apex-kelvin-sign"])
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, body):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(body))
@@ -102,6 +108,20 @@ class TestGenerateData:
         assert main(["generate-data", "--out", str(out), "--spec", str(spec)]) == 4
         assert str(spec) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_implausible_apex_flag_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "corpus.csv"
+        rc = main(["generate-data", "--out", str(out), "--per-class", "10", "--apex", "ok.example", "--apex", "x y"])
+        assert rc == 4
+        assert "'x y'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_apex_case_is_accepted(self, tmp_path):
+        # the tokenizer folds case, so an upper-case apex is a plausible name
+        out = tmp_path / "corpus.csv"
+        assert main(["generate-data", "--out", str(out), "--per-class", "10", "--apex", "UPPER.Example"]) == 0
+        tunneling = [s for s in datagen.read_corpus(out) if s.label == datagen.LABEL_TUNNELING]
+        assert tunneling and all(s.name.endswith(".UPPER.Example") for s in tunneling)
 
     def test_custom_normal_feed(self, tmp_path):
         feed = tmp_path / "feed.txt"
@@ -270,11 +290,11 @@ class TestClassifyCache:
 
     def uncached_stdout(self, model_file, qnames, threshold=0.5):
         params, hp, _vocab = load(model_file)
-        preds = evaluation.predict_names(params, hp, qnames)
-        called = evaluation.is_tunneling([p.probability for p in preds], threshold)
+        probs = evaluation.score(params, hp, qnames)
+        called = evaluation.is_tunneling(probs, threshold)
         return "".join(
-            f"{p.name}\t{p.probability:.6f}\t{datagen.LABEL_TUNNELING if c else datagen.LABEL_NORMAL}\n"
-            for p, c in zip(preds, called)
+            f"{name}\t{p:.6f}\t{datagen.LABEL_TUNNELING if c else datagen.LABEL_NORMAL}\n"
+            for name, p, c in zip(qnames, probs, called)
         )
 
     def classify(self, model_file, path, monkeypatch):

@@ -6,13 +6,11 @@ import pytest
 from tunneldetect.datagen import LABEL_NORMAL, LABEL_TUNNELING, DomainSample, build_corpus, desk_scale_spec
 from tunneldetect.evaluation import (
     SCORE_CHUNK,
-    Prediction,
     compute_metrics,
     export_scatter,
     f1_score,
     is_tunneling,
     per_tool_breakdown,
-    predict_names,
     predict_samples,
     score,
 )
@@ -23,26 +21,28 @@ from oracles import recount_metrics
 
 
 def make_prediction(prob, truth, tool="none", name=None):
+    """One labeled sample and the probability scored for it."""
     label = LABEL_TUNNELING if truth == "t" else LABEL_NORMAL
     if tool == "none" and label == LABEL_TUNNELING:
         tool = "iodine"
     name = name or f"{truth}-{prob:.3f}.example.com"
-    sample = DomainSample(name, label, tool if label == LABEL_TUNNELING else "none")
-    return Prediction(name, prob, sample)
+    return DomainSample(name, label, tool if label == LABEL_TUNNELING else "none"), prob
+
+
+def columns(pairs):
+    """The (samples, probabilities) arrays of (sample, probability) pairs."""
+    return [s for s, _ in pairs], np.array([p for _, p in pairs])
 
 
 def random_prediction_set(rng, n=None):
+    """(samples, probabilities) of n random labeled predictions."""
     n = n or int(rng.integers(1, 40))
-    return [
-        make_prediction(float(rng.random()), rng.choice(["t", "n"]))
-        for _ in range(n)
-    ]
+    return columns([make_prediction(float(rng.random()), rng.choice(["t", "n"])) for _ in range(n)])
 
 
-def detected_names(preds, threshold):
+def detected_names(samples, probs, threshold):
     """Names called Tunneling at `threshold` by the decision rule."""
-    called = is_tunneling([p.probability for p in preds], threshold)
-    return {p.name for p, c in zip(preds, called) if c}
+    return {s.name for s, c in zip(samples, is_tunneling(probs, threshold)) if c}
 
 
 # How far a name's probability may move with the rows it is forwarded
@@ -84,42 +84,39 @@ class TestScore:
 
 
 class TestClassify:
-    """Single names through predict_names, called by is_tunneling."""
+    """Single names through score, called by is_tunneling."""
 
     def test_zero_weight_model_is_normal_at_high_threshold(self, tiny_hp, tiny_model):
         zero = ModelParams.zeros_like(tiny_model)
-        [pred] = predict_names(zero, tiny_hp, ["example.com"])
-        assert pred.probability == 0.5
-        assert not is_tunneling([pred.probability], 0.90)[0]
+        [p] = score(zero, tiny_hp, ["example.com"])
+        assert p == 0.5
+        assert not is_tunneling([p], 0.90)[0]
 
     def test_boundary_resolves_toward_detection(self, tiny_hp, tiny_model):
         zero = ModelParams.zeros_like(tiny_model)
-        [pred] = predict_names(zero, tiny_hp, ["example.com"])
-        assert pred.probability == 0.5
-        assert is_tunneling([pred.probability], 0.5)[0]  # p == threshold
+        [p] = score(zero, tiny_hp, ["example.com"])
+        assert p == 0.5
+        assert is_tunneling([p], 0.5)[0]  # p == threshold
 
     def test_invalid_threshold_rejected(self, tiny_hp, tiny_model):
         # scoring takes no threshold; the metrics over its output reject one
         # outside (0, 1)
-        preds = predict_samples(tiny_model, tiny_hp, [DomainSample("example.com", LABEL_NORMAL)])
+        samples = [DomainSample("example.com", LABEL_NORMAL)]
+        probs = predict_samples(tiny_model, tiny_hp, samples)
         for threshold in (0.0, 1.0, float("nan")):
             with pytest.raises(ValueError, match="threshold"):
-                compute_metrics(preds, threshold)
+                compute_metrics(samples, probs, threshold)
 
-    def test_predict_samples_matches_predict_names(self, tiny_hp, tiny_model):
+    def test_predict_samples_matches_score(self, tiny_hp, tiny_model):
         samples = [
             DomainSample("aaa.com", LABEL_NORMAL),
             DomainSample("deadbeef00.evil.example", LABEL_TUNNELING, "dnscat2"),
         ]
-        preds = predict_samples(tiny_model, tiny_hp, samples)
-        for s, p in zip(samples, preds):
-            [single] = predict_names(tiny_model, tiny_hp, [s.name])
-            assert p.probability == single.probability
-            assert p.sample is s
-
-    def test_predict_names_has_no_ground_truth(self, tiny_hp, tiny_model):
-        preds = predict_names(tiny_model, tiny_hp, ["a.com", "b.org"])
-        assert all(p.sample is None for p in preds)
+        probs = predict_samples(tiny_model, tiny_hp, samples)
+        assert probs.shape == (2,) and probs.dtype == np.float64
+        for s, p in zip(samples, probs):
+            [single] = score(tiny_model, tiny_hp, [s.name])
+            assert p == single
 
 
 class TestApplyThreshold:
@@ -130,10 +127,10 @@ class TestApplyThreshold:
 
     def test_raising_threshold_shrinks_detected_set(self):
         rng = np.random.default_rng(0)
-        preds = random_prediction_set(rng, 200)
+        samples, probs = random_prediction_set(rng, 200)
         previous = None
         for t in np.arange(0.1, 0.95, 0.1):
-            detected = detected_names(preds, float(t))
+            detected = detected_names(samples, probs, float(t))
             if previous is not None:
                 assert detected <= previous
             previous = detected
@@ -159,7 +156,7 @@ class TestComputeMetrics:
             + [make_prediction(0.1, "t")]
             + [make_prediction(0.1, "n") for _ in range(5)]
         )
-        report = compute_metrics(preds, 0.5)
+        report = compute_metrics(*columns(preds), 0.5)
         m = report.per_class[LABEL_TUNNELING]
         assert m.precision == pytest.approx(0.75)
         assert m.recall == pytest.approx(0.75)
@@ -172,7 +169,7 @@ class TestComputeMetrics:
         preds = [make_prediction(0.99, "t") for _ in range(4)] + [
             make_prediction(0.01, "n") for _ in range(6)
         ]
-        report = compute_metrics(preds, 0.5)
+        report = compute_metrics(*columns(preds), 0.5)
         for label in (LABEL_NORMAL, LABEL_TUNNELING):
             m = report.per_class[label]
             assert (m.precision, m.recall, m.f1, m.fpr) == (1.0, 1.0, 1.0, 0.0)
@@ -188,7 +185,7 @@ class TestComputeMetrics:
             + [make_prediction(0.1, "t") for _ in range(121)]
             + [make_prediction(0.9, "t") for _ in range(1465)]
         )
-        report = compute_metrics(preds, 0.5)
+        report = compute_metrics(*columns(preds), 0.5)
         m = report.per_class[LABEL_NORMAL]
         assert m.precision == pytest.approx(0.9342, abs=5e-5)
         assert m.recall == pytest.approx(0.9948, abs=5e-5)
@@ -198,12 +195,12 @@ class TestComputeMetrics:
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            preds = random_prediction_set(rng)
+            samples, probs = random_prediction_set(rng)
             threshold = float(rng.uniform(0.05, 0.95))
-            report = compute_metrics(preds, threshold)
-            truths = [p.sample.label for p in preds]
+            report = compute_metrics(samples, probs, threshold)
+            truths = [s.label for s in samples]
             verdicts = [
-                LABEL_TUNNELING if p.probability >= threshold else LABEL_NORMAL for p in preds
+                LABEL_TUNNELING if p >= threshold else LABEL_NORMAL for p in probs
             ]
             for positive in (LABEL_NORMAL, LABEL_TUNNELING):
                 want = recount_metrics(truths, verdicts, positive)
@@ -213,11 +210,11 @@ class TestComputeMetrics:
     def test_fpr_complements_other_class_recall(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            preds = random_prediction_set(rng, 30)
-            truths = {p.sample.label for p in preds}
+            samples, probs = random_prediction_set(rng, 30)
+            truths = {s.label for s in samples}
             if truths != {LABEL_NORMAL, LABEL_TUNNELING}:
                 continue
-            report = compute_metrics(preds, 0.5)
+            report = compute_metrics(samples, probs, 0.5)
             normal = report.per_class[LABEL_NORMAL]
             tunneling = report.per_class[LABEL_TUNNELING]
             assert normal.fpr == pytest.approx(1.0 - tunneling.recall)
@@ -225,30 +222,34 @@ class TestComputeMetrics:
 
     def test_zero_denominator_flagged(self):
         preds = [make_prediction(0.1, "n") for _ in range(5)]  # nothing detected
-        report = compute_metrics(preds, 0.9)
+        report = compute_metrics(*columns(preds), 0.9)
         m = report.per_class[LABEL_TUNNELING]
         assert m.precision == 0.0 and m.recall == 0.0
         assert m.degenerate
 
     def test_support_sums_to_total(self):
         rng = np.random.default_rng(3)
-        preds = random_prediction_set(rng, 37)
-        report = compute_metrics(preds, 0.4)
+        samples, probs = random_prediction_set(rng, 37)
+        report = compute_metrics(samples, probs, 0.4)
         assert sum(m.support for m in report.per_class.values()) == report.total == 37
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compute_metrics([], 0.5)
+            compute_metrics([], np.array([]), 0.5)
 
-    def test_unlabeled_rejected(self):
-        with pytest.raises(ValueError, match="ground-truth"):
-            compute_metrics([Prediction("x.com", 0.5)], 0.5)
+    def test_length_mismatch_rejected(self):
+        samples, probs = columns([make_prediction(0.9, "t"), make_prediction(0.1, "n")])
+        for bad in (probs[:1], np.append(probs, 0.5)):
+            with pytest.raises(ValueError, match="2 samples"):
+                compute_metrics(samples, bad, 0.5)
+        with pytest.raises(ValueError, match="0 samples"):
+            compute_metrics([], probs, 0.5)
 
 
 def breakdown(preds):
     """per_tool_breakdown over the verdicts at threshold 0.5."""
-    called = is_tunneling([p.probability for p in preds], 0.5)
-    return per_tool_breakdown([p.sample for p in preds], called)
+    samples, probs = columns(preds)
+    return per_tool_breakdown(samples, is_tunneling(probs, 0.5))
 
 
 class TestPerToolBreakdown:
@@ -273,33 +274,38 @@ class TestPerToolBreakdown:
         assert rates["dnscat2"] == 1.0
 
     def test_report_includes_rates_at_report_threshold(self):
-        preds = [make_prediction(0.7, "t", tool="iodine") for _ in range(4)]
-        report = compute_metrics(preds, 0.9)
+        samples, probs = columns([make_prediction(0.7, "t", tool="iodine") for _ in range(4)])
+        report = compute_metrics(samples, probs, 0.9)
         assert report.per_tool == {"iodine": 0.0}
-        report = compute_metrics(preds, 0.5)
+        report = compute_metrics(samples, probs, 0.5)
         assert report.per_tool == {"iodine": 1.0}
 
 
 class TestExportScatter:
     def test_empty_input_writes_header_only(self, tmp_path):
         path = tmp_path / "scatter.csv"
-        export_scatter([], path)
+        export_scatter([], np.array([]), path)
         assert path.read_text().strip() == "name,true_label,tool,probability"
 
     def test_rows_in_input_order_and_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
-        preds = random_prediction_set(rng, 25)
+        samples, probs = random_prediction_set(rng, 25)
         path = tmp_path / "scatter.csv"
-        export_scatter(preds, path)
+        export_scatter(samples, probs, path)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 25
-        for row, pred in zip(rows, preds):
-            assert row["name"] == pred.name
-            assert row["true_label"] == pred.sample.label
-            assert row["tool"] == pred.sample.tool
-            assert float(row["probability"]) == pytest.approx(pred.probability, abs=5e-10)
+        for row, sample, p in zip(rows, samples, probs):
+            assert row["name"] == sample.name
+            assert row["true_label"] == sample.label
+            assert row["tool"] == sample.tool
+            assert float(row["probability"]) == pytest.approx(p, abs=5e-10)
+
+    def test_length_mismatch_rejected(self, tmp_path):
+        samples, probs = random_prediction_set(np.random.default_rng(5), 3)
+        with pytest.raises(ValueError):
+            export_scatter(samples, probs[:2], tmp_path / "scatter.csv")
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            export_scatter([], tmp_path / "missing" / "scatter.csv")
+            export_scatter([], np.array([]), tmp_path / "missing" / "scatter.csv")

@@ -15,7 +15,7 @@ from tunneldetect.network import (
     forward_batch,
     init_params,
 )
-from tunneldetect.tokenizer import PAD_IDX, encode_batch, encode_domain
+from tunneldetect.tokenizer import PAD_IDX, encode_batch
 
 from oracles import (
     GRADCHECK_CASES,
@@ -290,9 +290,9 @@ class TestBackward:
 
     def test_duplicate_batch_equals_single(self, tiny_hp):
         params = init_params(tiny_hp, 3)
-        x = encode_domain("abc123.example.com", tiny_hp.l)
-        g1, l1 = backward_batch(params, tiny_hp, x[None, :], np.array([1.0]))
-        g2, l2 = backward_batch(params, tiny_hp, np.stack([x, x]), np.array([1.0, 1.0]))
+        x = encode_batch(["abc123.example.com"], tiny_hp.l)
+        g1, l1 = backward_batch(params, tiny_hp, x, np.array([1.0]))
+        g2, l2 = backward_batch(params, tiny_hp, np.concatenate([x, x]), np.array([1.0, 1.0]))
         assert l1 == pytest.approx(l2, rel=1e-12)
         for (name, a), (_, b) in zip(g1.arrays(), g2.arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-12, err_msg=name)

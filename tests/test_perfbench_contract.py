@@ -53,7 +53,8 @@ def test_checks_model_agrees_with_score(tmp_path):
     model = checks.Model(path)
     assert checks.check_model(model, hp, is_reference=False) == []
     assert model.parameter_count() == count_parameters(hp)
-    names = ["example.com", "a1b2c3.t.example.org", "UPPER.Case.net", "x", "bad_char!.com", "q" * 40 + ".io"]
+    names = ["example.com", "a1b2c3.t.example.org", "UPPER.Case.net", "x", "bad_char!.com", "q" * 40 + ".io",
+             "ÿ.com", "İstanbul.tr"]
     got = model.probabilities(names)
     want = evaluation.score(params, hp, names)
     assert max(abs(got[n] - p) for n, p in zip(names, want)) <= checks.PROB_TOL

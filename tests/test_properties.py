@@ -11,7 +11,7 @@ from tunneldetect.evaluation import SCORE_CHUNK, score
 from tunneldetect.hostnames import is_plausible_hostname
 from tunneldetect.logparse import FORMATS, parse_line
 from tunneldetect.network import Hyperparams, expected_shapes, forward_batch, init_params
-from tunneldetect.tokenizer import LITERALS, encode_batch, encode_domain, encoding_key
+from tunneldetect.tokenizer import LITERALS, encode_batch, encoding_key
 
 from conftest import TINY_HP
 
@@ -108,7 +108,7 @@ def test_equal_encoding_keys_encode_equal_rows(name, tail, length):
         assert len(encoding_key(a, length)) <= length
         for b in variants:
             if encoding_key(a, length) == encoding_key(b, length):
-                np.testing.assert_array_equal(encode_domain(a, length), encode_domain(b, length))
+                np.testing.assert_array_equal(encode_batch([a], length), encode_batch([b], length))
 
 
 _SMALL_HP = Hyperparams(nf=2, ks=2, sl=1, d=2, l=3, hn=2)

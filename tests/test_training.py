@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -169,6 +170,12 @@ class TestTrainConfig:
     def test_positive_learning_rates_accepted(self):
         for lr in (1e-300, 0.001, 10.0):
             assert TrainConfig(lr=lr).lr == lr
+
+    def test_frozen(self):
+        # one TrainConfig() instance is the default argument of train,
+        # kfold_cross_validate, grid_search and AdamState.fresh
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TrainConfig().lr = 1.0
 
 
 TOY_HP = Hyperparams(nf=8, ks=3, sl=1, d=8, l=10, hn=8)
