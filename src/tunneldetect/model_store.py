@@ -63,43 +63,43 @@ class VocabularyMismatchError(ModelFormatError):
     """Stored vocabulary literals differ from the fixed alphabet."""
 
 
-def _pack_array(name: str, arr: np.ndarray) -> bytes:
-    encoded = name.encode("ascii")
-    parts = [struct.pack("<B", len(encoded)), encoded, struct.pack("<B", arr.ndim)]
-    parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
 def save(params: ModelParams, hp: Hyperparams, path) -> None:
     """Write the model file with the fixed alphabet; byte output is
-    deterministic."""
+    deterministic. Each weight block's values are written from the
+    array's own buffer, with the checksum kept running, so no copy of
+    the weights is made."""
     shapes = expected_shapes(hp)
     for name, arr in params.arrays():
         if arr.shape != shapes[name]:
             raise ValueError(f"{name} has shape {arr.shape}, expected {shapes[name]} for these hyperparameters")
 
-    body = [MAGIC, struct.pack("<I", VERSION)]
-    body.append(struct.pack("<6I", *astuple(hp)))
     literals = LITERALS.encode("utf-8")
-    body.append(struct.pack("<I", len(literals)))
-    body.append(literals)
     blocks = list(params.arrays())
-    body.append(struct.pack("<I", len(blocks)))
-    for name, arr in blocks:
-        body.append(_pack_array(name, arr))
-    payload = b"".join(body)
     with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        crc = 0
+
+        def write(data) -> None:
+            nonlocal crc
+            crc = zlib.crc32(data, crc)
+            fh.write(data)
+
+        write(MAGIC + struct.pack("<I6II", VERSION, *astuple(hp), len(literals)) + literals)
+        write(struct.pack("<I", len(blocks)))
+        for name, arr in blocks:
+            encoded = name.encode("ascii")
+            write(struct.pack(f"<B{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
+            write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
+        fh.write(struct.pack("<I", crc))
 
 
 class _Cursor:
-    def __init__(self, data: bytes):
+    """Reads fields off a memoryview; take() returns views, not copies."""
+
+    def __init__(self, data: memoryview):
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise TruncatedModelError(
                 f"file ends at byte {len(self.data)}, needed {self.pos + n}"
@@ -123,7 +123,7 @@ def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
     declared shapes hold.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = memoryview(fh.read())
 
     cur = _Cursor(data)
     if cur.take(len(MAGIC)) != MAGIC:
@@ -137,13 +137,13 @@ def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
         hp = Hyperparams(*stored_hp)
     except ValueError as exc:
         raise ShapeMismatchError(f"invalid stored hyperparameters: {exc}") from None
-    literals = cur.take(cur.u32())
+    literals = bytes(cur.take(cur.u32()))
 
-    blocks: dict[str, tuple[tuple[int, ...], bytes]] = {}
+    blocks: list[tuple[str, tuple[int, ...], memoryview]] = []
     for _ in range(cur.u32()):
-        name = cur.take(cur.u8()).decode("ascii", "replace")
+        name = bytes(cur.take(cur.u8())).decode("ascii", "replace")
         shape = tuple(cur.u32() for _ in range(cur.u8()))
-        blocks[name] = shape, cur.take(math.prod(shape) * 8)
+        blocks.append((name, shape, cur.take(math.prod(shape) * 8)))
 
     body_end = cur.pos
     stored = cur.u32()
@@ -157,15 +157,13 @@ def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
             f"stored vocabulary {literals!r} differs from the fixed alphabet {LITERALS!r}"
         )
     shapes = expected_shapes(hp)
-    if set(blocks) != set(shapes):
-        raise ShapeMismatchError(
-            f"weight blocks {sorted(blocks)} do not match expected {sorted(shapes)}"
-        )
+    names = [name for name, _, _ in blocks]
+    if sorted(names) != sorted(shapes):
+        raise ShapeMismatchError(f"weight blocks {sorted(names)} do not match expected {sorted(shapes)}")
     arrays = {}
-    for name, want in shapes.items():
-        shape, raw = blocks[name]
-        if shape != want:
-            raise ShapeMismatchError(f"{name} stored as {shape}, hyperparameters imply {want}")
+    for name, shape, raw in blocks:
+        if shape != shapes[name]:
+            raise ShapeMismatchError(f"{name} stored as {shape}, hyperparameters imply {shapes[name]}")
         arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
     return ModelParams(**arrays), hp, Vocabulary(LITERALS)

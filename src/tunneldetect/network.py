@@ -24,11 +24,18 @@ stands for the rest. dense1 is then one GEMM per position, and in
 backward the all-PAD window carries the sum of dz1 over the rows dead
 at that position. The result is exact for any input (a PAD window
 inside a name stays live) up to summation order.
+
+dense1_w holds almost all the weights (11.0 M of 11.4 M at the
+reference configuration). backward_batch forms its gradient one
+cache-sized block at a time and can hand each block to a consumer that
+updates dense1_w in place (training's Adam step), so a training step
+never holds the whole dense1_w gradient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -84,7 +91,8 @@ DEFAULT_HYPERPARAMS = Hyperparams(nf=1024, ks=4, sl=1, d=100, l=45, hn=256)
 @dataclass
 class ModelParams:
     """All trainable weights. Also used as the container for gradients,
-    which share these shapes exactly."""
+    which share these shapes exactly; backward_batch leaves dense1_w
+    None when a consumer took its gradient block by block."""
 
     embedding: np.ndarray  # (vocab, d)
     conv_w: np.ndarray     # (ks, d, nf)
@@ -253,12 +261,24 @@ def _mean_bce(p: np.ndarray, y: np.ndarray) -> float:
 
 
 def backward_batch(
-    params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, y_batch: np.ndarray
+    params: ModelParams,
+    hp: Hyperparams,
+    x_batch: np.ndarray,
+    y_batch: np.ndarray,
+    dense1_update: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[ModelParams, float]:
     """Gradients of the mean BCE loss over an encoded batch.
 
     Sigmoid and BCE are fused analytically (dL/dz = p - y), so the
     backward pass never divides by a near-zero probability.
+
+    The dense1_w gradient is formed one buffer of CACHE_BLOCK scalars
+    (or one row, if hn is larger) at a time, in flat order, and each
+    full or final buffer goes to dense1_update(flat offset, block). A
+    consumer may update dense1_w in place: every position's blocks
+    come after the GEMM that reads its rows of dense1_w. With a
+    consumer, the returned dense1_w gradient is None; without one, the
+    blocks are gathered into the full gradient.
     """
     xb = np.atleast_2d(np.asarray(x_batch))
     yb = np.asarray(y_batch, dtype=np.float64).reshape(-1)
@@ -266,6 +286,13 @@ def backward_batch(
         raise ValueError("backward requires a nonempty batch")
     if xb.shape[0] != yb.shape[0]:
         raise ValueError(f"batch size mismatch: {xb.shape[0]} sequences, {yb.shape[0]} labels")
+
+    dense1_grad = None
+    if dense1_update is None:
+        dense1_grad = np.empty(hp.flat_width * hp.hn)
+
+        def dense1_update(offset, block):
+            dense1_grad[offset : offset + block.size] = block
 
     probs, cache = _forward_cached(params, hp, xb)
     batch = xb.shape[0]
@@ -282,13 +309,26 @@ def backward_batch(
     dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
     d = dz1.copy()
     w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
-    dense1_w = np.empty_like(w1)
     dzc = np.empty_like(ac)
+    buf = np.empty((max(1, CACHE_BLOCK // hp.hn), hp.hn))
+    filled = offset = 0  # rows of buf in use; flat offset of buf[0]
     for p, lo, k, m in _position_blocks(cache["counts"], batch):
         if m > k:
             d[k] = dead_sum[k]
-        np.matmul(ac[lo : lo + m].T, d[:m], out=dense1_w[p])
         np.matmul(d[:m], w1[p].T, out=dzc[lo : lo + m])
+        a = ac[lo : lo + m]
+        r = 0
+        while r < hp.nf:
+            n = min(buf.shape[0] - filled, hp.nf - r)
+            np.matmul(a[:, r : r + n].T, d[:m], out=buf[filled : filled + n])
+            filled += n
+            r += n
+            if filled == buf.shape[0]:
+                dense1_update(offset, buf.reshape(-1))
+                offset += buf.size
+                filled = 0
+    if filled:
+        dense1_update(offset, buf[:filled].reshape(-1))
     dzc *= ac > 0.0
 
     # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads
@@ -312,7 +352,7 @@ def backward_batch(
         embedding=embedding,
         conv_w=np.matmul(params.embedding.T, dtable),   # (ks, d, nf)
         conv_b=dzc.sum(axis=0),
-        dense1_w=dense1_w.reshape(hp.flat_width, hp.hn),
+        dense1_w=None if dense1_grad is None else dense1_grad.reshape(hp.flat_width, hp.hn),
         dense1_b=dz1.sum(axis=0),
         dense2_w=cache["a1"].T @ dz2,
         dense2_b=np.array([dz2.sum()]),

@@ -1,6 +1,10 @@
 """Training machinery: Adam updates, the 10-epoch minibatch loop,
 stratified k-fold cross-validation and hyperparameter grid search
 ranked by mean F1 of the tunneling class.
+
+Each training step calls backward_batch with dense1_adam as its
+dense1_w consumer, so Adam updates dense1_w block by block while its
+gradient is formed, then adam_step for the other blocks.
 """
 
 from __future__ import annotations
@@ -60,47 +64,72 @@ class AdamState:
         return cls(m=ModelParams.zeros_like(params), v=ModelParams.zeros_like(params), lr=cfg.lr)
 
 
+def _adam(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, lr: float, t: int, scratch: np.ndarray) -> None:
+    """Adam step t on flat, equal-length p, m and v with gradient g, in
+    place, CACHE_BLOCK scalars at a time through the two rows of
+    `scratch`, so no temporary as large as p is made. Every slice goes
+    through the same operations, in the same order, as the whole-array
+    update p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result is
+    the same bit for bit however p is cut into calls."""
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for lo in range(0, p.size, CACHE_BLOCK):
+        hi = lo + CACHE_BLOCK
+        ps, gs, ms, vs = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+        a, b = scratch[0, : ps.size], scratch[1, : ps.size]
+        ms *= beta1
+        np.multiply(gs, 1.0 - beta1, out=a)
+        ms += a
+        vs *= beta2
+        np.square(gs, out=a)
+        a *= 1.0 - beta2
+        vs += a
+        np.divide(ms, bc1, out=a)
+        a *= lr
+        np.divide(vs, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        ps -= a
+
+
+def dense1_adam(params: ModelParams, state: AdamState) -> Callable[[int, np.ndarray], None]:
+    """The dense1_update consumer for backward_batch: applies Adam step
+    state.t + 1 to each dense1_w block as its gradient is formed. The
+    adam_step call that follows on the same state moves t to that step
+    and updates the other blocks."""
+    arrays = (params.dense1_w, state.m.dense1_w, state.v.dense1_w)
+    if not all(a.flags.c_contiguous for a in arrays):
+        raise ValueError("dense1_w: parameters and moments must be C-contiguous to update in place")
+    p, m, v = (a.reshape(-1) for a in arrays)
+    scratch = np.empty((2, CACHE_BLOCK))
+
+    def update(offset: int, g: np.ndarray) -> None:
+        hi = offset + g.size
+        _adam(p[offset:hi], g, m[offset:hi], v[offset:hi], state.lr, state.t + 1, scratch)
+
+    return update
+
+
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update, applied elementwise in place.
 
-    Each block is updated CACHE_BLOCK scalars at a time through two
-    scratch buffers of that size, so no temporary as large as a block is
-    made. Every slice goes through the same operations, in the same
-    order, as the whole-array update
-    p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result is the
-    same bit for bit.
+    Moves the step counter once. A block whose gradient is None is
+    skipped: backward_batch returns None for dense1_w when dense1_adam
+    has already applied this step to it.
     """
     blocks = list(zip(params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()))
     for (name, p), (_, g), (_, m), (_, v) in blocks:
-        if p.shape != g.shape:
+        if g is not None and p.shape != g.shape:
             raise ValueError(f"gradient shape mismatch for {name}: {p.shape} vs {g.shape}")
         if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ValueError(f"{name}: parameters and moments must be C-contiguous to update in place")
     state.t += 1
-    lr, beta1, beta2, eps = state.lr, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
-    scratch_a, scratch_b = np.empty(CACHE_BLOCK), np.empty(CACHE_BLOCK)
+    scratch = np.empty((2, CACHE_BLOCK))
     for (_, p), (_, g), (_, m), (_, v) in blocks:
-        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-        for lo in range(0, p.size, CACHE_BLOCK):
-            hi = lo + CACHE_BLOCK
-            ps, gs, ms, vs = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            a, b = scratch_a[: ps.size], scratch_b[: ps.size]
-            ms *= beta1
-            np.multiply(gs, 1.0 - beta1, out=a)
-            ms += a
-            vs *= beta2
-            np.square(gs, out=a)
-            a *= 1.0 - beta2
-            vs += a
-            np.divide(ms, bc1, out=a)
-            a *= lr
-            np.divide(vs, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            ps -= a
+        if g is not None:
+            _adam(p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1), state.lr, state.t, scratch)
     return params, state
 
 
@@ -127,6 +156,7 @@ def train(
 
     params = init_params(hp, cfg.seed)
     state = AdamState.fresh(params, cfg)
+    dense1_update = dense1_adam(params, state)
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
 
@@ -135,7 +165,7 @@ def train(
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            grads, loss = backward_batch(params, hp, x[idx], y[idx])
+            grads, loss = backward_batch(params, hp, x[idx], y[idx], dense1_update=dense1_update)
             adam_step(params, grads, state)
             total += loss * len(idx)
         if progress is not None:

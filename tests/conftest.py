@@ -6,6 +6,14 @@ from tunneldetect.network import Hyperparams, init_params
 
 TINY_HP = Hyperparams(nf=6, ks=3, sl=1, d=8, l=12, hn=4)
 
+# conv configurations the packed network paths are checked on
+CONV_HPS = [
+    TINY_HP,
+    Hyperparams(nf=64, ks=4, sl=1, d=32, l=45, hn=32),
+    Hyperparams(nf=16, ks=3, sl=2, d=10, l=20, hn=8),
+]
+CONV_IDS = ["tiny", "small", "stride2"]
+
 
 @pytest.fixture
 def tiny_hp():

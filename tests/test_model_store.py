@@ -188,6 +188,25 @@ class TestCorruption:
         with pytest.raises(TruncatedModelError):
             load(path)
 
+    @pytest.mark.parametrize("edit", ["repeated-first-block", "last-block-dropped"])
+    def test_block_names_must_be_the_expected_seven(self, tmp_path, edit):
+        hp = Hyperparams(nf=1, ks=1, sl=1, d=1, l=1, hn=1)
+        path = tmp_path / "model.bin"
+        save(init_params(hp, seed=1), hp, path)
+        body = path.read_bytes()[:-4]
+        count_offset = LITERALS_OFFSET + len(LITERALS.encode("utf-8"))
+        assert struct.unpack_from("<I", body, count_offset) == (7,)
+        blocks = body[count_offset + 4 :]
+        # the embedding block: name, ndim 2, dims (45, 1), 45 values
+        first = 1 + len(b"embedding") + 1 + 2 * 4 + 45 * 8
+        assert blocks[1 : 1 + len(b"embedding")] == b"embedding"
+        # dense2_b: name, ndim 1, dims (1,), one value
+        last = 1 + len(b"dense2_b") + 1 + 4 + 8
+        count, blocks = (8, blocks + blocks[:first]) if edit == "repeated-first-block" else (6, blocks[:-last])
+        _rewrite_with_checksum(path, body[:count_offset] + struct.pack("<I", count) + blocks)
+        with pytest.raises(ShapeMismatchError, match="weight blocks"):
+            load(path)
+
     def test_foreign_vocabulary_rejected(self, saved_model):
         _, _, path = saved_model
         data = bytearray(path.read_bytes())

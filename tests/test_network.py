@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tunneldetect import network
 from tunneldetect.network import (
     DEFAULT_HYPERPARAMS,
     Hyperparams,
@@ -17,6 +18,7 @@ from tunneldetect.network import (
 )
 from tunneldetect.tokenizer import PAD_IDX, encode_batch
 
+from conftest import CONV_HPS, CONV_IDS
 from oracles import (
     GRADCHECK_CASES,
     KINK_CLEARANCE,
@@ -27,14 +29,6 @@ from oracles import (
     numeric_gradients,
     relu_kink_clearance,
 )
-
-
-CONV_HPS = [
-    Hyperparams(nf=6, ks=3, sl=1, d=8, l=12, hn=4),
-    Hyperparams(nf=64, ks=4, sl=1, d=32, l=45, hn=32),
-    Hyperparams(nf=16, ks=3, sl=2, d=10, l=20, hn=8),
-]
-CONV_IDS = ["tiny", "small", "stride2"]
 
 
 def packed_windows(cache, batch):
@@ -246,6 +240,31 @@ class TestDenseReference:
         close(np.array([loss]), np.array([want_loss]), "loss")
         for name, g in grads.arrays():
             close(g, want_grads[name], name)
+
+    @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
+    @pytest.mark.parametrize("block", [1, 5, 96, 1000])
+    def test_dense1_gradient_blocks(self, hp, block, monkeypatch):
+        # buffers of `block` scalars: one row when hn is larger, ending
+        # mid-position, spanning positions, or one partial buffer
+        monkeypatch.setattr(network, "CACHE_BLOCK", block)
+        rng = np.random.default_rng(16)
+        params = init_params(hp, seed=7)
+        params.conv_b[:] = rng.normal(0, 0.3, size=hp.nf)
+        x = _rows_of_lengths(hp, [hp.l, 0, 3, "hole", 1, hp.l // 2], rng)
+        y = rng.integers(0, 2, size=len(x)).astype(float)
+        _, want, _ = dense_reference(params, hp, x, y)
+
+        blocks = []
+        grads, _ = backward_batch(params, hp, x, y, dense1_update=lambda off, g: blocks.append((off, g.copy())))
+        assert grads.dense1_w is None
+        rows = max(1, block // hp.hn)
+        offsets = [off for off, _ in blocks]
+        assert offsets == list(range(0, hp.flat_width * hp.hn, rows * hp.hn))
+        assert all(g.size == rows * hp.hn for _, g in blocks[:-1])
+        got = np.concatenate([g for _, g in blocks]).reshape(want["dense1_w"].shape)
+        assert np.abs(got - want["dense1_w"]).max() <= DENSE_REFERENCE_BOUND * np.abs(want["dense1_w"]).max()
+        gathered, _ = backward_batch(params, hp, x, y)
+        np.testing.assert_array_equal(gathered.dense1_w, got)
 
 
 def _bce(p, y):

@@ -13,9 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tunneldetect import evaluation, model_store
+from tunneldetect import evaluation, model_store, training
 from tunneldetect.network import Hyperparams, init_params
-from tunneldetect.training import count_parameters
+from tunneldetect.training import TrainConfig, count_parameters
+
+from conftest import make_separable_corpus
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -58,3 +60,20 @@ def test_checks_model_agrees_with_score(tmp_path):
     got = model.probabilities(names)
     want = evaluation.score(params, hp, names)
     assert max(abs(got[n] - p) for n, p in zip(names, want)) <= checks.PROB_TOL
+
+
+def test_train_calls_backward_then_adam_step_once_per_step(monkeypatch):
+    # child.py marks train's first unit of work at backward_batch, counts
+    # its rows from args[2], and times a step from the backward_batch
+    # span to the adam_step span
+    for function in ("backward_batch", "adam_step"):
+        monkeypatch.setattr(training, function, getattr(training, function))
+    tracer = child.Tracer()
+    tracer.wrap(training, "backward_batch", "network.backward_batch", child._rows)
+    tracer.wrap(training, "adam_step", "training.adam_step")
+    hp = Hyperparams(nf=4, ks=3, sl=1, d=4, l=12, hn=3)
+    training.train(make_separable_corpus(25, seed=4), hp, TrainConfig(epochs=2, batch_size=16, seed=1))
+    steps = [("network.backward_batch", rows) for rows in (16, 16, 16, 2)] * 2
+    want = [span for step in steps for span in (step, ("training.adam_step", 0))]
+    assert [(name, work) for name, _, _, _, work in tracer.spans] == want
+    assert all(parent == -1 for _, _, _, parent, _ in tracer.spans)

@@ -1,13 +1,15 @@
 import copy
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tunneldetect import network, training
 from tunneldetect.datagen import LABEL_TUNNELING, DomainSample
-from tunneldetect.network import DEFAULT_HYPERPARAMS, Hyperparams, ModelParams, init_params
-from tunneldetect.tokenizer import encode_batch
+from tunneldetect.network import DEFAULT_HYPERPARAMS, Hyperparams, ModelParams, backward_batch, init_params
+from tunneldetect.tokenizer import PAD_IDX, encode_batch
 from tunneldetect.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -17,6 +19,7 @@ from tunneldetect.training import (
     TrainConfig,
     adam_step,
     count_parameters,
+    dense1_adam,
     default_grid,
     grid_search,
     kfold_cross_validate,
@@ -27,7 +30,7 @@ from tunneldetect.training import (
 )
 from tunneldetect.network import forward_batch
 
-from conftest import make_separable_corpus
+from conftest import CONV_HPS, CONV_IDS, make_separable_corpus
 
 
 class TestCountParameters:
@@ -159,6 +162,91 @@ class TestAdamStep:
         finally:
             tracemalloc.stop()
         assert peak < params.dense1_w.nbytes / 10
+
+
+def _training_steps(hp, fused, steps, batch=12):
+    """`steps` Adam steps from a fresh model on random batches of names
+    of random lengths; with `fused`, dense1_w is updated inside
+    backward_batch by dense1_adam, else from the whole gradient."""
+    rng = np.random.default_rng(31)
+    params = init_params(hp, seed=8)
+    state = AdamState.fresh(params)
+    update = dense1_adam(params, state) if fused else None
+    for _ in range(steps):
+        x = rng.integers(PAD_IDX + 1, 45, size=(batch, hp.l))
+        for row, n in zip(x, rng.integers(0, hp.l + 1, size=batch)):
+            row[n:] = PAD_IDX
+        y = rng.integers(0, 2, size=batch).astype(float)
+        grads, _ = backward_batch(params, hp, x, y, dense1_update=update)
+        assert (grads.dense1_w is None) == fused
+        adam_step(params, grads, state)
+    return params, state
+
+
+def _digest(params, state):
+    h = hashlib.sha256()
+    for blocks in (params, state.m, state.v):
+        for _, arr in blocks.arrays():
+            h.update(arr.tobytes())
+    h.update(str(state.t).encode())
+    return h.hexdigest()
+
+
+class TestFusedStep:
+    """Adam applied to dense1_w block by block inside backward_batch,
+    then adam_step on the other blocks, is bitwise the unfused step:
+    the whole gradient from the same blocked loop, then adam_step on
+    all seven blocks."""
+
+    @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
+    @pytest.mark.parametrize("block", [None, 5, 96])
+    def test_fused_steps_equal_unfused(self, hp, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(network, "CACHE_BLOCK", block)
+            monkeypatch.setattr(training, "CACHE_BLOCK", block)
+        fused, fused_state = _training_steps(hp, True, steps=3)
+        unfused, unfused_state = _training_steps(hp, False, steps=3)
+        assert fused_state.t == unfused_state.t == 3
+        for got, want in ((fused, unfused), (fused_state.m, unfused_state.m), (fused_state.v, unfused_state.v)):
+            for (name, a), (_, b) in zip(got.arrays(), want.arrays()):
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_reference_config_step(self):
+        # digests, so that only one reference-size model is held at a time
+        assert _digest(*_training_steps(DEFAULT_HYPERPARAMS, True, steps=1, batch=16)) == _digest(
+            *_training_steps(DEFAULT_HYPERPARAMS, False, steps=1, batch=16)
+        )
+
+    def test_train_equals_unfused_train(self, monkeypatch, separable_corpus):
+        cfg = TrainConfig(epochs=2, batch_size=32, seed=9)
+        fused = train(separable_corpus, TOY_HP, cfg)
+        monkeypatch.setattr(training, "backward_batch", lambda *args, dense1_update: backward_batch(*args))
+        unfused = train(separable_corpus, TOY_HP, cfg)
+        for (name, a), (_, b) in zip(fused.arrays(), unfused.arrays()):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_step_never_holds_the_dense1_gradient(self):
+        # dense1_w is 688,128 of this model's 691,113 scalars
+        hp = Hyperparams(nf=64, ks=4, sl=1, d=8, l=45, hn=256)
+        params = init_params(hp, seed=2)
+        state = AdamState.fresh(params)
+        update = dense1_adam(params, state)
+        x = encode_batch(["a1b2c3d4e5f6g7h8.t.example.com", "example.org", "x" * 45, "q.io"], hp.l)
+        y = np.array([1.0, 0.0, 1.0, 0.0])
+        tracemalloc.start()
+        try:
+            grads, _ = backward_batch(params, hp, x, y, dense1_update=update)
+            adam_step(params, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.dense1_w.nbytes / 2
+
+    def test_non_contiguous_dense1_rejected(self):
+        params = init_params(Hyperparams(nf=3, ks=2, sl=1, d=2, l=4, hn=2), 0)
+        params.dense1_w = np.asfortranarray(params.dense1_w)
+        with pytest.raises(ValueError, match="contiguous"):
+            dense1_adam(params, AdamState.fresh(params))
 
 
 class TestTrainConfig:
