@@ -19,18 +19,21 @@ Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data/format problem.
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import hashlib
+import itertools
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from . import datagen, evaluation, logparse, model_store, training
 from .datagen import LABEL_NORMAL, LABEL_TUNNELING
-from .hostnames import matches_apex
+from .hostnames import is_plausible_hostname, matches_apex, normalize_name
 from .network import DEFAULT_HYPERPARAMS, Hyperparams
 from .tokenizer import encoding_key
 
@@ -105,10 +108,9 @@ def _threshold_flag(text: str) -> float:
     return value
 
 
-def _read_spec(path, seed: int | None) -> datagen.CorpusSpec:
-    """The corpus spec in a JSON file, with `seed` (when not None) in
-    place of the file's. Malformed content raises ValueError naming the
-    file."""
+def _read_spec(path) -> datagen.CorpusSpec:
+    """The corpus spec in a JSON file. Malformed content raises
+    ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -121,7 +123,7 @@ def _read_spec(path, seed: int | None) -> datagen.CorpusSpec:
                 tunneling_counts=raw["tunneling"],
                 normal_counts=raw["normal"],
                 apexes=raw.get("apexes", datagen.DEFAULT_APEXES),
-                seed=file_seed if seed is None else seed,
+                seed=file_seed,
             )
         except KeyError as exc:
             raise ValueError(f"corpus spec {path} lacks the key {exc}") from None
@@ -130,15 +132,10 @@ def _read_spec(path, seed: int | None) -> datagen.CorpusSpec:
 
 
 def cmd_generate_data(args) -> int:
-    per_class = None if args.spec else (datagen.FULL_PER_CLASS if args.full else args.per_class)
-    if args.spec:
-        spec = _read_spec(args.spec, args.seed)
-    else:
-        spec = datagen.desk_scale_spec(
-            seed=args.seed if args.seed is not None else 0,
-            per_class=per_class,
-            apexes=tuple(args.apex) if args.apex else datagen.DEFAULT_APEXES,
-        )
+    per_class = None if args.spec else args.per_class
+    spec = _read_spec(args.spec) if args.spec else datagen.desk_scale_spec(per_class=per_class)
+    # --seed and --apex replace what the spec file or the defaults say
+    spec = replace(spec, seed=spec.seed if args.seed is None else args.seed, apexes=args.apex or spec.apexes)
 
     pools = datagen.default_normal_pools()
     feed_inputs = []
@@ -320,51 +317,45 @@ def _cached_probabilities(params, hp, names, cache: dict) -> tuple[list[float], 
     return probs, len(missing)
 
 
+def _accepted_names(lines, fmt: str, apexes, tally: collections.Counter):
+    """Query names of the lines that parse and, when `apexes` is given,
+    lie under one of them; `tally` counts the other lines as "skipped"
+    or "outside"."""
+    for line in lines:
+        qname = logparse.parse_line(fmt, line)
+        if qname is None:
+            tally["skipped"] += 1
+        elif apexes and not any(matches_apex(qname, apex) for apex in apexes):
+            tally["outside"] += 1
+        else:
+            yield qname
+
+
 def cmd_classify(args) -> int:
+    for apex in args.apex or []:
+        if not is_plausible_hostname(normalize_name(apex)):
+            raise ValueError(f"--apex {apex!r} is not a plausible hostname")
     params, hp, _vocab = model_store.load(args.model)
 
-    if args.input == "-":
-        lines = sys.stdin
-        close = None
-    else:
-        close = open(args.input, "r", encoding="utf-8", errors="replace")
-        lines = close
-    skipped = filtered = scored = forwarded = 0
+    tally = collections.Counter()
+    scored = forwarded = 0
     cache: dict[str, float] = {}
-    batch: list[str] = []
-    try:
-        def flush():
-            nonlocal scored, forwarded
-            if not batch:
-                return
+    source = (contextlib.nullcontext(sys.stdin) if args.input == "-"
+              else open(args.input, "r", encoding="utf-8", errors="replace"))
+    with source as lines:
+        names = _accepted_names(lines, args.format, args.apex, tally)
+        while batch := list(itertools.islice(names, evaluation.SCORE_CHUNK)):
             probs, fresh = _cached_probabilities(params, hp, batch, cache)
             called = evaluation.is_tunneling(probs, args.threshold)
             for name, p, c in zip(batch, probs, called):
                 print(f"{name}\t{p:.6f}\t{LABEL_TUNNELING if c else LABEL_NORMAL}")
             scored += len(batch)
             forwarded += fresh
-            batch.clear()
-
-        for line in lines:
-            qname = logparse.parse_line(args.format, line)
-            if qname is None:
-                skipped += 1
-                continue
-            if args.apex and not any(matches_apex(qname, apex) for apex in args.apex):
-                filtered += 1
-                continue
-            batch.append(qname)
-            if len(batch) >= evaluation.SCORE_CHUNK:
-                flush()
-        flush()
-    finally:
-        if close is not None:
-            close.close()
-    if skipped:
-        print(f"skipped {skipped} unparseable lines", file=sys.stderr)
+    if tally["skipped"]:
+        print(f"skipped {tally['skipped']} unparseable lines", file=sys.stderr)
     note = f"names scored: {scored}, distinct names forwarded: {forwarded}"
     if args.apex:
-        note += f", names outside --apex: {filtered}"
+        note += f", names outside --apex: {tally['outside']}"
     print(note, file=sys.stderr)
     return EXIT_OK
 
@@ -380,9 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate-data", help="write a labeled synthetic corpus CSV")
     p.add_argument("--out", required=True, help="corpus CSV to write")
     p.add_argument("--seed", type=int, default=None, help="corpus seed (default 0)")
-    p.add_argument("--per-class", type=int, default=2000, help="samples per class (default 2000)")
-    p.add_argument("--full", action="store_true", help=f"full-size corpus ({datagen.FULL_PER_CLASS} per class)")
-    p.add_argument("--spec", help="JSON file with explicit per-category counts")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--per-class", type=int, default=2000, help="samples per class (default 2000)")
+    size.add_argument("--full", dest="per_class", action="store_const", const=datagen.FULL_PER_CLASS,
+                      help=f"full-size corpus ({datagen.FULL_PER_CLASS} per class)")
+    size.add_argument("--spec", help="JSON file with explicit per-category counts; --seed and --apex replace its own")
     p.add_argument("--apex", action="append", help="tunneling apex domain (repeatable)")
     p.add_argument(
         "--normal-feed",

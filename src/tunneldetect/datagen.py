@@ -152,74 +152,58 @@ def _derive_seed(seed: int, *stream) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def _split_labels(payload: str, chunk: int = MAX_LABEL_LEN) -> list[str]:
-    return [payload[i : i + chunk] for i in range(0, len(payload), chunk)]
+def _split_labels(payload: str) -> list[str]:
+    return [payload[i : i + MAX_LABEL_LEN] for i in range(0, len(payload), MAX_LABEL_LEN)]
 
 
-def _pick_chars(rng: np.random.Generator, alphabet: str, k: int) -> str:
-    return "".join(alphabet[i] for i in rng.integers(0, len(alphabet), size=k))
+def _pick_chars(rng: np.random.Generator, k: int) -> str:
+    return "".join(_ALNUM[i] for i in rng.integers(0, len(_ALNUM), size=k))
 
 
-def gen_iodine(n: int, apex: str, seed: int) -> list[DomainSample]:
+def _iodine_labels(rng: np.random.Generator, i: int) -> list[str]:
     """Upstream-data queries in the iodine style: one header character then
-    a base32(lowercase) payload split across labels under the apex."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        nbytes = int(rng.integers(20, 61))
-        data = rng.bytes(nbytes)
-        payload = base64.b32encode(data).decode("ascii").lower().rstrip("=")
-        payload = _pick_chars(rng, _ALNUM, 1) + payload
-        name = ".".join(_split_labels(payload) + [apex])
-        out.append(DomainSample(name, LABEL_TUNNELING, TOOL_IODINE))
-    return out
+    a base32(lowercase) payload split across labels."""
+    data = rng.bytes(int(rng.integers(20, 61)))
+    payload = base64.b32encode(data).decode("ascii").lower().rstrip("=")
+    return _split_labels(_pick_chars(rng, 1) + payload)
 
 
-def gen_dnscat2(n: int, apex: str, seed: int) -> list[DomainSample]:
-    """C&C-style queries: lowercase hex payload (even length) in fixed
-    63-character labels under the apex."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        nbytes = int(rng.integers(15, 61))  # 30-120 hex chars
-        payload = rng.bytes(nbytes).hex()
-        name = ".".join(_split_labels(payload) + [apex])
-        out.append(DomainSample(name, LABEL_TUNNELING, TOOL_DNSCAT2))
-    return out
+def _dnscat2_labels(rng: np.random.Generator, i: int) -> list[str]:
+    """C&C-style queries: lowercase hex payload (even length, 30-120
+    characters) in fixed 63-character labels."""
+    return _split_labels(rng.bytes(int(rng.integers(15, 61))).hex())
 
 
-def gen_dnsexfiltrator(n: int, apex: str, seed: int) -> list[DomainSample]:
+def _dnsexfiltrator_labels(rng: np.random.Generator, i: int) -> list[str]:
     """Low-throughput file exfiltration: a chunk-index label followed by
     base64url payload labels (case preserved here; the tokenizer folds it)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for i in range(n):
-        nbytes = int(rng.integers(10, 51))
-        data = rng.bytes(nbytes)
-        payload = base64.urlsafe_b64encode(data).decode("ascii").rstrip("=")
-        name = ".".join([str(i)] + _split_labels(payload) + [apex])
-        out.append(DomainSample(name, LABEL_TUNNELING, TOOL_DNSEXFILTRATOR))
-    return out
+    data = rng.bytes(int(rng.integers(10, 51)))
+    return [str(i)] + _split_labels(base64.urlsafe_b64encode(data).decode("ascii").rstrip("="))
 
 
-def gen_failed_attempts(n: int, apex: str, seed: int) -> list[DomainSample]:
+def _failed_attempt_labels(rng: np.random.Generator, i: int) -> list[str]:
     """Short handshake-like queries from tools that never established a
     tunnel (tuns, dns2tcp); tagged as unspecified-tool tunneling."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        k = int(rng.integers(4, 17))
-        name = f"{_pick_chars(rng, _ALNUM, k)}.{apex}"
-        out.append(DomainSample(name, LABEL_TUNNELING, TOOL_NOTSPECIFIED))
-    return out
+    return [_pick_chars(rng, int(rng.integers(4, 17)))]
 
 
-_GENERATORS = {
-    TOOL_DNSCAT2: gen_dnscat2,
-    TOOL_DNSEXFILTRATOR: gen_dnsexfiltrator,
-    TOOL_IODINE: gen_iodine,
-    TOOL_NOTSPECIFIED: gen_failed_attempts,
+# Payload labels of the i-th query of each tool, drawn from a seeded RNG.
+_PAYLOAD_LABELS = {
+    TOOL_DNSCAT2: _dnscat2_labels,
+    TOOL_DNSEXFILTRATOR: _dnsexfiltrator_labels,
+    TOOL_IODINE: _iodine_labels,
+    TOOL_NOTSPECIFIED: _failed_attempt_labels,
 }
+
+
+def tunneling_samples(tool: str, n: int, apex: str, seed: int) -> list[DomainSample]:
+    """`n` queries in the encoding of `tool`: its payload labels, then the
+    apex. Deterministic for a given seed."""
+    if tool not in _PAYLOAD_LABELS:
+        raise ValueError(f"unknown tunneling tool {tool!r}")
+    labels = _PAYLOAD_LABELS[tool]
+    rng = np.random.default_rng(seed)
+    return [DomainSample(".".join(labels(rng, i) + [apex]), LABEL_TUNNELING, tool) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +279,7 @@ def default_normal_pools() -> dict[str, list[str]]:
 def build_corpus(spec: CorpusSpec, normal_pools: Mapping[str, list[str]] | None = None) -> list[DomainSample]:
     """Assemble a labeled corpus per the spec counts and shuffle it.
 
-    Tunneling samples come from the tool emulators, split across apexes.
+    Tunneling samples come from tunneling_samples, split across apexes.
     Normal samples are drawn without replacement from the given pools;
     a cz-like origin missing from them is synthesized.
     Deterministic for a given spec.
@@ -307,15 +291,11 @@ def build_corpus(spec: CorpusSpec, normal_pools: Mapping[str, list[str]] | None 
     stream = 0
 
     for tool, count in spec.tunneling_counts.items():
-        if tool not in _GENERATORS:
-            raise ValueError(f"unknown tunneling tool {tool!r}")
-        gen = _GENERATORS[tool]
-        per_apex = [count // len(spec.apexes)] * len(spec.apexes)
-        for i in range(count % len(spec.apexes)):
-            per_apex[i] += 1
-        for apex, n in zip(spec.apexes, per_apex):
+        for i, apex in enumerate(spec.apexes):
+            # the first count % len(apexes) apexes take one sample more
+            n = count // len(spec.apexes) + (i < count % len(spec.apexes))
             stream += 1
-            samples.extend(gen(n, apex, _derive_seed(spec.seed, stream)))
+            samples.extend(tunneling_samples(tool, n, apex, _derive_seed(spec.seed, stream)))
 
     for origin, count in spec.normal_counts.items():
         stream += 1

@@ -41,11 +41,17 @@ def is_plausible_hostname(name: str) -> bool:
     return _ALPHABET_RUN.fullmatch(name) is not None and has_valid_lengths(name)
 
 
+def normalize_name(name: str) -> str:
+    """The name as matches_apex compares it: stripped of whitespace,
+    lowercased, and without one trailing dot."""
+    return strip_trailing_dot(name.strip().lower())
+
+
 def matches_apex(qname: str, apex: str) -> bool:
     """Label-boundary suffix match: 'a.evil.com' matches apex 'evil.com',
     'notevil.com' does not."""
-    qname = strip_trailing_dot(qname.strip().lower())
-    apex = strip_trailing_dot(apex.strip().lower())
+    qname = normalize_name(qname)
+    apex = normalize_name(apex)
     if not apex:
         return False
     return qname == apex or qname.endswith("." + apex)

@@ -166,9 +166,11 @@ def _pack(xb: np.ndarray, hp: Hyperparams):
     for each position, its live windows in sorted-row order, then, if
     some row is dead there, one all-PAD window standing for all of them.
 
-    Returns (order, live, counts, sym): the sorting permutation, each
-    sorted row's live count, the live rows per position, and the
-    (ks, packed windows) symbol indices each kernel tap reads.
+    Returns (order, live, blocks, sym): the sorting permutation, each
+    sorted row's live count, one (lo, k, m) per position p (packed rows
+    lo:lo+m hold p's k live windows and, when m > k, the all-PAD window
+    after them), and the (ks, packed windows) symbol indices each kernel
+    tap reads.
     """
     batch, positions = xb.shape[0], hp.conv_out_len
     symbols = xb != PAD_IDX
@@ -178,23 +180,14 @@ def _pack(xb: np.ndarray, hp: Hyperparams):
     live = live[order]
     counts = np.count_nonzero(live[:, None] > np.arange(positions), axis=0)
     widths = counts + (counts < batch)
+    starts = np.cumsum(widths) - widths
     pos = np.repeat(np.arange(positions), widths)
     # the all-PAD window after a position's live rows is that of the
     # first sorted row dead there
-    row = np.arange(pos.size) - (np.cumsum(widths) - widths)[pos]
+    row = np.arange(pos.size) - starts[pos]
     xs = xb[order]
     sym = np.stack([xs[row, pos * hp.sl + j] for j in range(hp.ks)])
-    return order, live, counts, sym
-
-
-def _position_blocks(counts: np.ndarray, batch: int):
-    """(p, lo, k, m) per position p: packed rows lo:lo+m hold its k live
-    windows and, when m > k, the all-PAD window after them."""
-    lo = 0
-    for p, k in enumerate(counts.tolist()):
-        m = k + (k < batch)
-        yield p, lo, k, m
-        lo += m
+    return order, live, list(zip(starts.tolist(), counts.tolist(), widths.tolist())), sym
 
 
 def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
@@ -213,7 +206,7 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     if xb.size and (xb.min() < 0 or xb.max() >= vocab):
         raise ValueError(f"symbol indices must lie in [0, {vocab})")
     batch = xb.shape[0]
-    order, live, counts, sym = _pack(xb, hp)
+    order, live, blocks, sym = _pack(xb, hp)
 
     table = np.matmul(params.embedding, params.conv_w)  # (ks, vocab, nf)
     ac = np.empty((sym.shape[1], hp.nf))
@@ -233,7 +226,7 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     out = np.empty((batch, hp.hn))
     # pad[p] is the all-PAD window times W1[p]; pad[P] = 0 serves rows live throughout
     pad = np.zeros((hp.conv_out_len + 1, hp.hn))
-    for p, lo, k, m in _position_blocks(counts, batch):
+    for p, (lo, k, m) in enumerate(blocks):
         np.matmul(ac[lo : lo + m], w1[p], out=out[:m])
         z1[:k] += out[:k]
         if m > k:
@@ -244,7 +237,7 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     probs = np.empty(batch)
     probs[order] = np.clip(_sigmoid(z2), _P_LO, _P_HI)
 
-    cache = {"order": order, "counts": counts, "sym": sym, "ac": ac, "z1": z1, "a1": a1}
+    cache = {"order": order, "blocks": blocks, "sym": sym, "ac": ac, "z1": z1, "a1": a1}
     return probs, cache
 
 
@@ -302,25 +295,26 @@ def backward_batch(
     dz2 = (probs[order] - yb[order]) / batch                # (B,), sorted rows
     da1 = np.outer(dz2, params.dense2_w)                # (B, hn)
     dz1 = da1 * (cache["z1"] > 0.0)
+    dense1_b = dz1.sum(axis=0)
 
     # Position p's GEMMs take its k live rows of dz1, then, in the all-PAD
-    # window's slot k, the sum of dz1 over the rows dead at p. Counts never
-    # grow with p, so no later position reads a row that slot overwrote.
+    # window's slot k, the sum of dz1 over the rows dead at p, written into
+    # dz1 in place. Counts never grow with p, so no later position reads a
+    # row that slot overwrote.
     dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
-    d = dz1.copy()
     w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
     dzc = np.empty_like(ac)
     buf = np.empty((max(1, CACHE_BLOCK // hp.hn), hp.hn))
     filled = offset = 0  # rows of buf in use; flat offset of buf[0]
-    for p, lo, k, m in _position_blocks(cache["counts"], batch):
+    for p, (lo, k, m) in enumerate(cache["blocks"]):
         if m > k:
-            d[k] = dead_sum[k]
-        np.matmul(d[:m], w1[p].T, out=dzc[lo : lo + m])
+            dz1[k] = dead_sum[k]
+        np.matmul(dz1[:m], w1[p].T, out=dzc[lo : lo + m])
         a = ac[lo : lo + m]
         r = 0
         while r < hp.nf:
             n = min(buf.shape[0] - filled, hp.nf - r)
-            np.matmul(a[:, r : r + n].T, d[:m], out=buf[filled : filled + n])
+            np.matmul(a[:, r : r + n].T, dz1[:m], out=buf[filled : filled + n])
             filled += n
             r += n
             if filled == buf.shape[0]:
@@ -353,7 +347,7 @@ def backward_batch(
         conv_w=np.matmul(params.embedding.T, dtable),   # (ks, d, nf)
         conv_b=dzc.sum(axis=0),
         dense1_w=None if dense1_grad is None else dense1_grad.reshape(hp.flat_width, hp.hn),
-        dense1_b=dz1.sum(axis=0),
+        dense1_b=dense1_b,
         dense2_w=cache["a1"].T @ dz2,
         dense2_b=np.array([dz2.sum()]),
     )

@@ -136,6 +136,41 @@ class TestGenerateData:
         alexa = [s for s in corpus if s.origin == "alexa-like"]
         assert alexa and all(s.name.startswith("site") for s in alexa)
 
+    @pytest.mark.parametrize("flags", [
+        ["--spec", "SPEC", "--per-class", "50"],
+        ["--full", "--per-class", "10"],
+        ["--per-class", "2000", "--full"],
+        ["--spec", "SPEC", "--full"],
+    ], ids=["spec-per-class", "full-per-class", "per-class-full", "spec-full"])
+    def test_size_flags_are_exclusive(self, tmp_path, flags):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"tunneling": {"iodine": 4}, "normal": {"alexa-like": 4}}))
+        out = tmp_path / "corpus.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate-data", "--out", str(out)] + [str(spec) if f == "SPEC" else f for f in flags])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_full_sets_per_class(self):
+        args = cli.build_parser().parse_args(["generate-data", "--out", "c.csv", "--full"])
+        assert args.per_class == datagen.FULL_PER_CLASS
+        assert not hasattr(args, "full")
+
+    def test_apex_flag_replaces_spec_apexes(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "tunneling": {"iodine": 5, "notspecified": 20},
+            "normal": {"alexa-like": 25},
+            "apexes": ["one.example", "two.example"],
+            "seed": 2,
+        }))
+        out = tmp_path / "corpus.csv"
+        assert main(["generate-data", "--out", str(out), "--spec", str(spec), "--apex", "other.example"]) == 0
+        tunneling = [s for s in datagen.read_corpus(out) if s.label == datagen.LABEL_TUNNELING]
+        assert len(tunneling) == 25 and all(s.name.endswith(".other.example") for s in tunneling)
+        args = json.loads((tmp_path / "corpus.csv.manifest.json").read_text())["args"]
+        assert args["apexes"] == ["other.example"] and args["seed"] == 2 and args["per_class"] is None
+
     def test_bad_feed_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["generate-data", "--out", str(tmp_path / "c.csv"), "--normal-feed", "nope"])
@@ -253,6 +288,54 @@ class TestClassify:
         assert lines[0].startswith("zzzz.evil.example\t")
         assert "skipped 1" in captured.err
         assert "names outside --apex: 1" in captured.err
+
+
+    @pytest.mark.parametrize("apex", ["", "exfil test.com", "a..example"])
+    def test_implausible_apex_is_data_error(self, tmp_path, toy_model_file, capsys, apex):
+        # rejected before the input is opened: a missing input would exit 3
+        rc = main(["classify", "--model", str(toy_model_file), "--input", str(tmp_path / "absent.log"),
+                   "--apex", "ok.example", "--apex", apex])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert repr(apex) in captured.err
+        assert captured.out == ""
+
+    def test_apex_is_normalized_before_the_check(self, toy_model_file, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("a.exfiltest.com\nb.example.org\n"))
+        assert main(["classify", "--model", str(toy_model_file), "--apex", " EXFILTEST.com. "]) == 0
+        captured = capsys.readouterr()
+        assert [line.split("\t")[0] for line in captured.out.splitlines()] == ["a.exfiltest.com"]
+        assert "names outside --apex: 1" in captured.err
+
+    def test_stdin_beyond_one_chunk_with_skipped_and_outside_lines(self, toy_model_file, capsys, monkeypatch):
+        lines, scored = [], []
+        for i in range(2 * evaluation.SCORE_CHUNK + 37):
+            if i % 7 == 3:
+                lines.append("bad name!\n")
+            elif i % 5 == 1:
+                lines.append(f"x{i}.elsewhere.example\n")
+            else:
+                scored.append(f"{'az'[i % 2] * (i % 9 + 1)}.evil.example")
+                lines.append(scored[-1] + "\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(lines)))
+        rc = main(["classify", "--model", str(toy_model_file), "--apex", "evil.example", "--threshold", "0.5"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        params, hp, _vocab = load(toy_model_file)
+        probs = evaluation.score(params, hp, scored)
+        called = evaluation.is_tunneling(probs, 0.5)
+        assert len(scored) > evaluation.SCORE_CHUNK
+        assert captured.out == "".join(
+            f"{name}\t{p:.6f}\t{datagen.LABEL_TUNNELING if c else datagen.LABEL_NORMAL}\n"
+            for name, p, c in zip(scored, probs, called)
+        )
+        skipped = sum(line == "bad name!\n" for line in lines)
+        outside = len(lines) - skipped - len(scored)
+        assert captured.err.splitlines() == [
+            f"skipped {skipped} unparseable lines",
+            f"names scored: {len(scored)}, distinct names forwarded: {len({encoding_key(n, hp.l) for n in scored})}, "
+            f"names outside --apex: {outside}",
+        ]
 
 
 def write_repetitive_log(path, hp_l):

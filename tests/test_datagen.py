@@ -14,14 +14,11 @@ from tunneldetect.datagen import (
     cz_like_names,
     default_normal_pools,
     desk_scale_spec,
-    gen_dnscat2,
-    gen_dnsexfiltrator,
-    gen_failed_attempts,
-    gen_iodine,
     load_normal,
     read_corpus,
     scale_counts,
     split_train_test,
+    tunneling_samples,
     write_corpus,
 )
 from tunneldetect.hostnames import is_plausible_hostname
@@ -89,23 +86,23 @@ class TestScaleCounts:
 
 class TestIodine:
     def test_empty(self):
-        assert gen_iodine(0, APEX, 1) == []
+        assert tunneling_samples("iodine", 0, APEX, 1) == []
 
     def test_apex_suffix(self):
-        for s in gen_iodine(50, APEX, 2):
+        for s in tunneling_samples("iodine", 50, APEX, 2):
             assert s.name.endswith("." + APEX)
             assert s.label == LABEL_TUNNELING
             assert s.tool == "iodine"
 
     def test_payload_alphabet_base32_lowercase(self):
         allowed = set("abcdefghijklmnopqrstuvwxyz0123456789")
-        for s in gen_iodine(200, APEX, 3):
+        for s in tunneling_samples("iodine", 200, APEX, 3):
             payload = payload_part(s.name).replace(".", "")
             assert set(payload) <= allowed, s.name
 
     def test_header_char_plus_encoding_length(self):
         # 20..60 bytes -> 32..96 base32 chars, plus one header char
-        for s in gen_iodine(100, APEX, 4):
+        for s in tunneling_samples("iodine", 100, APEX, 4):
             payload = payload_part(s.name).replace(".", "")
             assert 33 <= len(payload) <= 97
 
@@ -113,66 +110,66 @@ class TestIodine:
 class TestDnscat2:
     def test_hex_alphabet(self):
         allowed = set("0123456789abcdef")
-        for s in gen_dnscat2(200, APEX, 5):
+        for s in tunneling_samples("dnscat2", 200, APEX, 5):
             payload = payload_part(s.name).replace(".", "")
             assert set(payload) <= allowed
 
     def test_even_payload_length(self):
-        for s in gen_dnscat2(200, APEX, 6):
+        for s in tunneling_samples("dnscat2", 200, APEX, 6):
             payload = payload_part(s.name).replace(".", "")
             assert len(payload) % 2 == 0
             assert 30 <= len(payload) <= 120
 
     def test_distinct_seeds_disjoint_payloads(self):
-        a = {s.name for s in gen_dnscat2(500, APEX, 7)}
-        b = {s.name for s in gen_dnscat2(500, APEX, 8)}
+        a = {s.name for s in tunneling_samples("dnscat2", 500, APEX, 7)}
+        b = {s.name for s in tunneling_samples("dnscat2", 500, APEX, 8)}
         assert len(a) == len(b) == 500
         assert not a & b
 
 
 class TestDnsexfiltrator:
     def test_empty(self):
-        assert gen_dnsexfiltrator(0, APEX, 1) == []
+        assert tunneling_samples("dnsexfiltrator", 0, APEX, 1) == []
 
     def test_apex_suffix(self):
-        for s in gen_dnsexfiltrator(50, APEX, 9):
+        for s in tunneling_samples("dnsexfiltrator", 50, APEX, 9):
             assert s.name.endswith("." + APEX)
 
     def test_alphabet_base64url_plus_digits(self):
         allowed = set(
             "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
         )
-        for s in gen_dnsexfiltrator(200, APEX, 10):
+        for s in tunneling_samples("dnsexfiltrator", 200, APEX, 10):
             payload = payload_part(s.name).replace(".", "")
             assert set(payload) <= allowed
 
     def test_chunk_index_prefix_label(self):
-        samples = gen_dnsexfiltrator(20, APEX, 11)
+        samples = tunneling_samples("dnsexfiltrator", 20, APEX, 11)
         for i, s in enumerate(samples):
             assert s.name.split(".")[0] == str(i)
 
 
 class TestFailedAttempts:
     def test_short_handshake_names(self):
-        typical = min(len(s.name) for s in gen_iodine(50, APEX, 12))
-        for s in gen_failed_attempts(100, APEX, 13):
+        typical = min(len(s.name) for s in tunneling_samples("iodine", 50, APEX, 12))
+        for s in tunneling_samples("notspecified", 100, APEX, 13):
             payload = payload_part(s.name)
             assert 4 <= len(payload) <= 16
             assert len(s.name) < typical
             assert s.tool == "notspecified"
 
     def test_label_count_at_most_three(self):
-        for s in gen_failed_attempts(100, "evil.example", 14):
+        for s in tunneling_samples("notspecified", 100, "evil.example", 14):
             assert len(s.name.split(".")) <= 3
 
 
 class TestGeneratorInvariants:
     def test_dns_length_limits(self):
         samples = (
-            gen_iodine(200, APEX, 20)
-            + gen_dnscat2(200, APEX, 21)
-            + gen_dnsexfiltrator(200, APEX, 22)
-            + gen_failed_attempts(200, APEX, 23)
+            tunneling_samples("iodine", 200, APEX, 20)
+            + tunneling_samples("dnscat2", 200, APEX, 21)
+            + tunneling_samples("dnsexfiltrator", 200, APEX, 22)
+            + tunneling_samples("notspecified", 200, APEX, 23)
         )
         for s in samples:
             assert len(s.name) <= 253
@@ -180,13 +177,17 @@ class TestGeneratorInvariants:
             assert is_plausible_hostname(s.name)
 
     def test_duplicate_rate_below_permille(self):
-        names = [s.name for s in gen_iodine(10_000, APEX, 24)]
+        names = [s.name for s in tunneling_samples("iodine", 10_000, APEX, 24)]
         assert len(names) - len(set(names)) < 10
 
     def test_generators_deterministic(self):
-        a = [s.name for s in gen_iodine(50, APEX, 25)]
-        b = [s.name for s in gen_iodine(50, APEX, 25)]
+        a = [s.name for s in tunneling_samples("iodine", 50, APEX, 25)]
+        b = [s.name for s in tunneling_samples("iodine", 50, APEX, 25)]
         assert a == b
+
+    def test_unknown_tool_rejected(self):
+        with pytest.raises(ValueError, match="warpdrive"):
+            tunneling_samples("warpdrive", 1, APEX, 26)
 
 
 class TestLoadNormal:

@@ -31,14 +31,14 @@ from oracles import (
 )
 
 
-def packed_windows(cache, batch):
+def packed_windows(cache):
     """(row, position) of each packed conv window, in packed order; row
     -1 marks the all-PAD window that stands for a position's dead rows."""
     rows, pos = [], []
-    for p, k in enumerate(cache["counts"].tolist()):
-        dead = int(k < batch)
-        rows += cache["order"][:k].tolist() + [-1] * dead
-        pos += [p] * (k + dead)
+    for p, (lo, k, m) in enumerate(cache["blocks"]):
+        assert lo == len(rows)
+        rows += cache["order"][:k].tolist() + [-1] * (m - k)
+        pos += [p] * m
     return np.array(rows, dtype=np.int64), np.array(pos, dtype=np.int64)
 
 
@@ -173,7 +173,7 @@ class TestForward:
                 axis=1,
             )                                                           # (B, P, ks*d)
             _, cache = _forward_cached(params, hp, x)
-            rows, pos = packed_windows(cache, batch)
+            rows, pos = packed_windows(cache)
             live = {
                 (b, p)
                 for b in range(batch)
