@@ -6,7 +6,8 @@ Subcommands compose the library into reproducible pipelines:
     train           train a model on a corpus CSV
     grid-search     cross-validated hyperparameter search
     evaluate        metrics report (and scatter CSV) for a model on a corpus
-    classify        stream verdicts for names from a file/stdin or a resolver log
+    classify        verdicts for names from a file/stdin or a resolver log,
+                    written a batch of fresh names at a time
 
 Every file-producing subcommand also writes `<output>.manifest.json`
 recording the resolved flags, seeds and input/output checksums, enough
@@ -22,7 +23,6 @@ import argparse
 import collections
 import contextlib
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__
 from . import datagen, evaluation, logparse, model_store, training
 from .datagen import LABEL_NORMAL, LABEL_TUNNELING
-from .hostnames import is_plausible_hostname, matches_apex, normalize_name
+from .hostnames import apex_matcher, is_plausible_hostname, normalize_name
 from .network import DEFAULT_HYPERPARAMS, Hyperparams
 from .tokenizer import encoding_key
 
@@ -292,60 +292,75 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cached_probabilities(params, hp, names, cache: dict) -> tuple[list[float], int]:
-    """Probabilities of `names` in input order, and how many names were
-    forwarded.
+def _classify_batches(params, hp, names, cache: dict):
+    """Probabilities of `names` in input order, one batch at a time:
+    yields (batch of names, their probabilities, how many names were
+    forwarded).
 
     `cache` maps encoding keys (what the tokenizer sees of a name) to
-    probabilities, least recently used first. One name per key the cache
-    lacks is scored; names with equal keys encode to identical rows, so
-    the result equals scoring every name. The cache is then cut back to
-    NAME_CACHE_SIZE keys.
+    probabilities, least recently used first; a hit makes its key most
+    recently used. One name per key the cache lacks is scored; names
+    with equal keys encode to identical rows, so the result equals
+    scoring every name. A batch ends when the cache lacks SCORE_CHUNK of
+    its keys, when it holds NAME_CACHE_SIZE names, or at the end of
+    `names`; its lacking keys are scored in one forward pass. After the
+    batch is yielded the cache is cut back to NAME_CACHE_SIZE keys.
     """
-    keys = [encoding_key(name, hp.l) for name in names]
-    missing: dict[str, str] = {}  # key -> first name with it
-    for key, name in zip(keys, names):
-        if key in cache:
-            cache[key] = cache.pop(key)  # now most recently used
-        elif key not in missing:
-            missing[key] = name
-    for key, p in zip(missing, evaluation.score(params, hp, list(missing.values()))):
-        cache[key] = float(p)
-    probs = [cache[key] for key in keys]
-    while len(cache) > NAME_CACHE_SIZE:
-        del cache[next(iter(cache))]
-    return probs, len(missing)
+    names = iter(names)
+    while True:
+        batch, keys, missing = [], [], {}  # missing: key -> first name with it
+        for name in names:
+            key = encoding_key(name, hp.l)
+            if key in cache:
+                cache[key] = cache.pop(key)  # now most recently used
+            elif key not in missing:
+                missing[key] = name
+            batch.append(name)
+            keys.append(key)
+            if len(missing) == evaluation.SCORE_CHUNK or len(batch) == NAME_CACHE_SIZE:
+                break
+        if not batch:
+            return
+        for key, p in zip(missing, evaluation.score(params, hp, list(missing.values()))):
+            cache[key] = float(p)
+        yield batch, [cache[key] for key in keys], len(missing)
+        while len(cache) > NAME_CACHE_SIZE:
+            del cache[next(iter(cache))]
 
 
-def _accepted_names(lines, fmt: str, apexes, tally: collections.Counter):
-    """Query names of the lines that parse and, when `apexes` is given,
-    lie under one of them; `tally` counts the other lines as "skipped"
-    or "outside"."""
+def _accepted_names(lines, fmt: str, under_apex, tally: collections.Counter):
+    """Query names of the lines that parse and, when `under_apex` is
+    given, pass it; `tally` counts the other lines as "skipped" or
+    "outside"."""
     for line in lines:
         qname = logparse.parse_line(fmt, line)
         if qname is None:
             tally["skipped"] += 1
-        elif apexes and not any(matches_apex(qname, apex) for apex in apexes):
+        elif under_apex and not under_apex(qname):
             tally["outside"] += 1
         else:
             yield qname
 
 
 def cmd_classify(args) -> int:
-    for apex in args.apex or []:
-        if not is_plausible_hostname(normalize_name(apex)):
+    """Write `name<TAB>probability<TAB>verdict` for each accepted name,
+    one batch of _classify_batches at a time, so on a stream the output
+    can lag the input by up to SCORE_CHUNK fresh names or NAME_CACHE_SIZE
+    lines; the end of the input flushes the last batch. Then write the
+    counts to stderr."""
+    apexes = [normalize_name(apex) for apex in args.apex or []]
+    for apex, normalized in zip(args.apex or [], apexes):
+        if not is_plausible_hostname(normalized):
             raise ValueError(f"--apex {apex!r} is not a plausible hostname")
     params, hp, _vocab = model_store.load(args.model)
 
     tally = collections.Counter()
     scored = forwarded = 0
-    cache: dict[str, float] = {}
     source = (contextlib.nullcontext(sys.stdin) if args.input == "-"
               else open(args.input, "r", encoding="utf-8", errors="replace"))
     with source as lines:
-        names = _accepted_names(lines, args.format, args.apex, tally)
-        while batch := list(itertools.islice(names, evaluation.SCORE_CHUNK)):
-            probs, fresh = _cached_probabilities(params, hp, batch, cache)
+        names = _accepted_names(lines, args.format, apex_matcher(apexes) if apexes else None, tally)
+        for batch, probs, fresh in _classify_batches(params, hp, names, {}):
             called = evaluation.is_tunneling(probs, args.threshold)
             for name, p, c in zip(batch, probs, called):
                 print(f"{name}\t{p:.6f}\t{LABEL_TUNNELING if c else LABEL_NORMAL}")
@@ -409,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scatter", help="per-name probability CSV to write")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("classify", help="stream verdicts for names from a file or stdin")
+    p = sub.add_parser("classify", help="verdicts for names from a file or stdin")
     p.add_argument("--model", required=True)
     p.add_argument("--input", default="-", help="input file, or '-' for stdin (default)")
     p.add_argument("--format", choices=logparse.FORMATS, default="plain")

@@ -42,16 +42,21 @@ def is_plausible_hostname(name: str) -> bool:
 
 
 def normalize_name(name: str) -> str:
-    """The name as matches_apex compares it: stripped of whitespace,
+    """The name as apex matching compares it: stripped of whitespace,
     lowercased, and without one trailing dot."""
     return strip_trailing_dot(name.strip().lower())
 
 
-def matches_apex(qname: str, apex: str) -> bool:
-    """Label-boundary suffix match: 'a.evil.com' matches apex 'evil.com',
-    'notevil.com' does not."""
-    qname = normalize_name(qname)
-    apex = normalize_name(apex)
-    if not apex:
-        return False
-    return qname == apex or qname.endswith("." + apex)
+def apex_matcher(apexes):
+    """A test of whether a name lies under one of `apexes`, which are
+    normalized with normalize_name already. The name is normalized the
+    same way, then matched on a label boundary: 'a.evil.com' and
+    'evil.com' lie under 'evil.com', 'notevil.com' does not."""
+    exact = frozenset(apexes)
+    suffixes = tuple("." + apex for apex in exact)
+
+    def matches(name: str) -> bool:
+        name = normalize_name(name)
+        return name in exact or name.endswith(suffixes)
+
+    return matches

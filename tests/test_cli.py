@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -380,7 +381,8 @@ class TestClassifyCache:
             for name, p, c in zip(qnames, probs, called)
         )
 
-    def classify(self, model_file, path, monkeypatch):
+    def classify(self, model_file, path, monkeypatch, fmt="dnsmasq"):
+        """The rows of each forward_batch call of classify on `path`."""
         rows = []
         forward = evaluation.forward_batch
 
@@ -390,32 +392,69 @@ class TestClassifyCache:
 
         monkeypatch.setattr(evaluation, "forward_batch", counting)
         rc = main(["classify", "--model", str(model_file), "--input", str(path),
-                   "--format", "dnsmasq", "--threshold", "0.5"])
+                   "--format", fmt, "--threshold", "0.5"])
         assert rc == 0
-        return sum(rows)
+        return list(rows)  # later scoring in the test appends to `rows`
 
     def test_equals_uncached_and_forwards_each_key_once(self, toy_model_file, log, monkeypatch, capsys):
         path, qnames, keys = log
-        forwarded = self.classify(toy_model_file, path, monkeypatch)
+        forwarded = sum(self.classify(toy_model_file, path, monkeypatch))
         captured = capsys.readouterr()
         assert captured.out == self.uncached_stdout(toy_model_file, qnames)
         assert forwarded == len(keys)
         assert f"names scored: {len(qnames)}, distinct names forwarded: {len(keys)}" in captured.err
         assert "--apex" not in captured.err
 
+    @pytest.mark.parametrize("chunk", [evaluation.SCORE_CHUNK, 8])
+    def test_forwards_full_chunks_of_fresh_keys(self, toy_model_file, log, monkeypatch, capsys, chunk):
+        path, qnames, keys = log
+        monkeypatch.setattr(evaluation, "SCORE_CHUNK", chunk)
+        rows = self.classify(toy_model_file, path, monkeypatch)
+        assert capsys.readouterr().out == self.uncached_stdout(toy_model_file, qnames)
+        assert len(rows) == math.ceil(len(keys) / chunk)
+        assert rows[:-1] == [chunk] * (len(rows) - 1)
+        assert sum(rows) == len(keys)
+
     def test_eviction_keeps_output(self, toy_model_file, log, monkeypatch, capsys):
         path, qnames, keys = log
         monkeypatch.setattr(cli, "NAME_CACHE_SIZE", 3)
-        forwarded = self.classify(toy_model_file, path, monkeypatch)
+        forwarded = sum(self.classify(toy_model_file, path, monkeypatch))
         assert capsys.readouterr().out == self.uncached_stdout(toy_model_file, qnames)
         assert forwarded > len(keys)
+
+    def test_batches_keep_to_the_cache_size(self, toy_model_file, log, monkeypatch):
+        _path, qnames, _keys = log
+        params, hp, _vocab = load(toy_model_file)
+        monkeypatch.setattr(cli, "NAME_CACHE_SIZE", 5)
+        cache, names, probs = {}, [], []
+        for batch, batch_probs, fresh in cli._classify_batches(params, hp, qnames, cache):
+            assert 0 < len(batch) <= 5
+            assert len(cache) - fresh <= 5  # cut back after the previous batch
+            names += batch
+            probs += batch_probs
+        assert len(cache) <= 5
+        assert names == qnames
+        assert np.max(np.abs(np.array(probs) - evaluation.score(params, hp, qnames))) <= 1e-12
+
+    def test_hits_after_the_first_batch_flush_at_end_of_input(self, tmp_path, toy_model_file, monkeypatch, capsys):
+        params, hp, _vocab = load(toy_model_file)
+        first = [f"n{i}.example" for i in range(evaluation.SCORE_CHUNK)]
+        qnames = first + [first[i % 7] for i in range(3 * evaluation.SCORE_CHUNK)]
+        assert len({encoding_key(n, hp.l) for n in first}) == len(first)
+        path = tmp_path / "names.txt"
+        path.write_text("".join(name + "\n" for name in qnames))
+        rows = self.classify(toy_model_file, path, monkeypatch, fmt="plain")
+        assert capsys.readouterr().out == self.uncached_stdout(toy_model_file, qnames)
+        assert rows == [evaluation.SCORE_CHUNK]
+        batches = [(len(batch), fresh) for batch, _, fresh in cli._classify_batches(params, hp, qnames, {})]
+        assert batches == [(len(first), len(first)), (len(qnames) - len(first), 0)]
 
     def test_hit_makes_key_most_recently_used(self, tiny_hp, tiny_model, monkeypatch):
         monkeypatch.setattr(cli, "NAME_CACHE_SIZE", 2)
         cache = {}
-        fresh = [cli._cached_probabilities(tiny_model, tiny_hp, [name], cache)[1]
+        fresh = [[f for _, _, f in cli._classify_batches(tiny_model, tiny_hp, [name], cache)]
                  for name in ("a.com", "b.com", "A.com", "c.com", "a.com")]
-        assert fresh == [1, 1, 0, 1, 0]
+        assert fresh == [[1], [1], [0], [1], [0]]
         assert list(cache) == ["c.com", "a.com"]
 
 
