@@ -301,10 +301,12 @@ def _classify_batches(params, hp, names, cache: dict):
     probabilities, least recently used first; a hit makes its key most
     recently used. One name per key the cache lacks is scored; names
     with equal keys encode to identical rows, so the result equals
-    scoring every name. A batch ends when the cache lacks SCORE_CHUNK of
-    its keys, when it holds NAME_CACHE_SIZE names, or at the end of
-    `names`; its lacking keys are scored in one forward pass. After the
-    batch is yielded the cache is cut back to NAME_CACHE_SIZE keys.
+    scoring every name with the same weights, up to the batch bound
+    evaluation.score states for their dtype. A batch ends when the
+    cache lacks SCORE_CHUNK of its keys, when it holds NAME_CACHE_SIZE
+    names, or at the end of `names`; its lacking keys are scored in one
+    forward pass. After the batch is yielded the cache is cut back to
+    NAME_CACHE_SIZE keys.
     """
     names = iter(names)
     while True:
@@ -347,12 +349,13 @@ def cmd_classify(args) -> int:
     one batch of _classify_batches at a time, so on a stream the output
     can lag the input by up to SCORE_CHUNK fresh names or NAME_CACHE_SIZE
     lines; the end of the input flushes the last batch. Then write the
-    counts to stderr."""
+    counts to stderr. The model is loaded as float32: classify only
+    runs the forward pass, which needs half the memory traffic then."""
     apexes = [normalize_name(apex) for apex in args.apex or []]
     for apex, normalized in zip(args.apex or [], apexes):
         if not is_plausible_hostname(normalized):
             raise ValueError(f"--apex {apex!r} is not a plausible hostname")
-    params, hp, _vocab = model_store.load(args.model)
+    params, hp, _vocab = model_store.load(args.model, np.float32)
 
     tally = collections.Counter()
     scored = forwarded = 0

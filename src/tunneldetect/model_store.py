@@ -13,10 +13,11 @@ File layout (all integers little-endian):
     checksum     u32 CRC-32 over all preceding bytes
 
 Weights are stored as raw 64-bit floats so save/load round-trips are
-bitwise exact. Every corruption class raises its own error type, except
-that a damaged length, count or dims field may report truncation: it
-misplaces every later field, so the bytes can run out before the
-checksum is compared.
+bitwise exact at float64; load can also convert them to another dtype
+(classify loads float32). Every corruption class raises its own error
+type, except that a damaged length, count or dims field may report
+truncation: it misplaces every later field, so the bytes can run out
+before the checksum is compared.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ class ShapeMismatchError(ModelFormatError):
 
 class VocabularyMismatchError(ModelFormatError):
     """Stored vocabulary literals differ from the fixed alphabet."""
+
+
+class WeightRangeError(ModelFormatError):
+    """A stored weight is finite but lies beyond the range of the dtype
+    it is loaded as (|w| > 3.4e38 for float32)."""
 
 
 def save(params: ModelParams, hp: Hyperparams, path) -> None:
@@ -115,8 +121,12 @@ class _Cursor:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
-    """Read a model file back; weights are bitwise what save() wrote.
+def load(path, dtype=np.float64) -> tuple[ModelParams, Hyperparams, Vocabulary]:
+    """Read a model file back, converting each weight block once from
+    its stored float64 values into an array of `dtype`. At float64 the
+    weights are bitwise what save() wrote; at float32 each is rounded to
+    nearest, and a finite weight beyond float32's range raises
+    WeightRangeError naming its block instead of becoming inf.
 
     Hostile bytes raise only ModelFormatError subclasses: nothing is
     decoded strictly, and no array is built before the checksum and the
@@ -164,6 +174,10 @@ def load(path) -> tuple[ModelParams, Hyperparams, Vocabulary]:
     for name, shape, raw in blocks:
         if shape != shapes[name]:
             raise ShapeMismatchError(f"{name} stored as {shape}, hyperparameters imply {shapes[name]}")
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        try:
+            with np.errstate(over="raise"):
+                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(dtype)
+        except FloatingPointError:
+            raise WeightRangeError(f"{name} holds a weight beyond the range of {np.dtype(dtype).name}") from None
 
     return ModelParams(**arrays), hp, Vocabulary(LITERALS)

@@ -2,9 +2,12 @@
 
 Layer stack: trainable embedding lookup -> 1D "valid" convolution with
 ReLU -> flatten (position-major, filter-minor) -> dense ReLU -> dense
-sigmoid, trained against binary cross-entropy. Everything is plain
+sigmoid, trained against binary cross-entropy. Training is plain
 numpy in float64 so the analytic gradients can be checked tightly
-against finite differences.
+against finite differences. The forward pass works in the dtype of the
+weights, so float32 weights (as classify loads them) give a float32
+forward; the logit is cast to float64 before the sigmoid, and
+probabilities are always float64.
 
 The input is a sequence of symbol indices, so the embedding lookup and
 the convolution fold into one table: embedding[x] @ conv_w[j] equals
@@ -196,8 +199,9 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     The conv runs over the packed windows only (see _pack). dense1 is
     one GEMM per position over its packed rows; a row dead from
     position k on then adds suffix[k], the sum over p >= k of the
-    all-PAD window's product with W1[p]. Cached arrays are in sorted-row
-    or packed order; probabilities come back in input order.
+    all-PAD window's product with W1[p]. Activations take the dtype of
+    the weights. Cached arrays are in sorted-row or packed order;
+    probabilities come back in input order, as float64.
     """
     xb = np.atleast_2d(np.asarray(x_batch))
     if xb.shape[-1] != hp.l:
@@ -208,8 +212,9 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     batch = xb.shape[0]
     order, live, blocks, sym = _pack(xb, hp)
 
+    dtype = params.dense1_w.dtype
     table = np.matmul(params.embedding, params.conv_w)  # (ks, vocab, nf)
-    ac = np.empty((sym.shape[1], hp.nf))
+    ac = np.empty((sym.shape[1], hp.nf), dtype)
     # blocks of windows small enough to stay in cache while their taps add up
     rows = max(1, CACHE_BLOCK // hp.nf)
     for r in range(0, ac.shape[0], rows):
@@ -221,11 +226,11 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
         np.maximum(block, 0.0, out=block)
 
     w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
-    z1 = np.empty((batch, hp.hn))
+    z1 = np.empty((batch, hp.hn), dtype)
     z1[...] = params.dense1_b
-    out = np.empty((batch, hp.hn))
+    out = np.empty((batch, hp.hn), dtype)
     # pad[p] is the all-PAD window times W1[p]; pad[P] = 0 serves rows live throughout
-    pad = np.zeros((hp.conv_out_len + 1, hp.hn))
+    pad = np.zeros((hp.conv_out_len + 1, hp.hn), dtype)
     for p, (lo, k, m) in enumerate(blocks):
         np.matmul(ac[lo : lo + m], w1[p], out=out[:m])
         z1[:k] += out[:k]
@@ -235,7 +240,7 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.dense2_w + params.dense2_b[0]  # (B,)
     probs = np.empty(batch)
-    probs[order] = np.clip(_sigmoid(z2), _P_LO, _P_HI)
+    probs[order] = np.clip(_sigmoid(z2.astype(np.float64, copy=False)), _P_LO, _P_HI)
 
     cache = {"order": order, "blocks": blocks, "sym": sym, "ac": ac, "z1": z1, "a1": a1}
     return probs, cache
@@ -263,7 +268,8 @@ def backward_batch(
     """Gradients of the mean BCE loss over an encoded batch.
 
     Sigmoid and BCE are fused analytically (dL/dz = p - y), so the
-    backward pass never divides by a near-zero probability.
+    backward pass never divides by a near-zero probability. The weights
+    must be float64: training and the gradient check are float64 only.
 
     The dense1_w gradient is formed one buffer of CACHE_BLOCK scalars
     (or one row, if hn is larger) at a time, in flat order, and each
@@ -275,6 +281,9 @@ def backward_batch(
     """
     xb = np.atleast_2d(np.asarray(x_batch))
     yb = np.asarray(y_batch, dtype=np.float64).reshape(-1)
+    for name, arr in params.arrays():
+        if arr.dtype != np.float64:
+            raise ValueError(f"backward needs float64 weights, {name} is {arr.dtype}")
     if xb.shape[0] == 0:
         raise ValueError("backward requires a nonempty batch")
     if xb.shape[0] != yb.shape[0]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tunneldetect import model_store
 from tunneldetect.datagen import LABEL_NORMAL, LABEL_TUNNELING, DomainSample
 from tunneldetect.network import Hyperparams, init_params
 
@@ -23,6 +24,13 @@ def tiny_hp():
 @pytest.fixture
 def tiny_model(tiny_hp):
     return init_params(tiny_hp, seed=5)
+
+
+def loaded_float32(params, hp, path):
+    """`params` saved to `path` and loaded back as float32, as classify
+    loads a model."""
+    model_store.save(params, hp, path)
+    return model_store.load(path, np.float32)[0]
 
 
 def make_separable_corpus(n_per_class=100, seed=0):

@@ -18,6 +18,7 @@ from tunneldetect.evaluation import (
     compute_metrics,
     is_tunneling,
     predict_samples,
+    score,
 )
 from tunneldetect.model_store import (
     ChecksumError,
@@ -52,6 +53,10 @@ from oracles import (
     recount_metrics,
     relu_kink_clearance,
 )
+
+# How far classify's float32 probabilities may lie from float64 scoring:
+# perfbench's PROB_TOL for classify output
+FLOAT32_PROB_TOL = 1e-4
 
 
 def test_criterion_1_parameter_count_exact():
@@ -124,8 +129,11 @@ def test_criterion_3_metrics_oracle():
           f"precision 0.9342 / recall 0.9948 -> F1 {m.f1:.4f} (within 0.0005 of 0.9635)")
 
 
-@pytest.mark.slow
-def test_criterion_4_desk_scale_training_target():
+@pytest.fixture(scope="module")
+def desk_model(tmp_path_factory):
+    """Criterion 4's model: the reference configuration trained 10 epochs
+    on a desk-scale corpus. Returns the held-out samples, the model file
+    and the seconds spent building the corpus and training."""
     start = time.time()
     spec = datagen.desk_scale_spec(seed=2026, per_class=2000)
     corpus = datagen.build_corpus(spec)
@@ -134,18 +142,46 @@ def test_criterion_4_desk_scale_training_target():
     assert len(train_set) == 3200 and len(test_set) == 800
 
     cfg = TrainConfig(epochs=10, batch_size=128, seed=2026)
-    params = train(train_set, DEFAULT_HYPERPARAMS, cfg)
+    path = tmp_path_factory.mktemp("desk") / "model.bin"
+    save(train(train_set, DEFAULT_HYPERPARAMS, cfg), DEFAULT_HYPERPARAMS, path)
+    return test_set, path, time.time() - start
 
+
+@pytest.mark.slow
+def test_criterion_4_desk_scale_training_target(desk_model):
+    test_set, path, train_seconds = desk_model
+    start = time.time()
+    params, _hp, _vocab = load(path)
     probs = predict_samples(params, DEFAULT_HYPERPARAMS, test_set)
     at_05 = compute_metrics(test_set, probs, 0.5).per_class[LABEL_TUNNELING]
     at_09 = compute_metrics(test_set, probs, 0.90).per_class[LABEL_TUNNELING]
-    elapsed = time.time() - start
+    elapsed = train_seconds + time.time() - start
 
     assert at_05.f1 >= 0.95, f"tunneling F1 at 0.5 = {at_05.f1:.4f}"
     assert at_09.recall >= 0.90, f"tunneling recall at 0.90 = {at_09.recall:.4f}"
     assert elapsed <= 900.0, f"ran {elapsed:.0f}s, budget is 15 minutes"
     print(f"\nPASS criterion 4: tunneling F1@0.5 = {at_05.f1:.4f} (>= 0.95), "
           f"recall@0.90 = {at_09.recall:.4f} (>= 0.90), {elapsed:.0f}s (<= 900s)")
+
+
+@pytest.mark.slow
+def test_float32_scoring_matches_float64_on_desk_model(desk_model):
+    # classify scores with the weights loaded as float32; every other
+    # path, and every metric above, is float64
+    test_set, path, _ = desk_model
+    names = [s.name for s in test_set]
+    p64 = score(load(path)[0], DEFAULT_HYPERPARAMS, names)
+    p32 = score(load(path, np.float32)[0], DEFAULT_HYPERPARAMS, names)
+    worst = float(np.abs(p32 - p64).max())
+    assert worst <= FLOAT32_PROB_TOL, f"max |p32 - p64| = {worst:.2e}"
+    for threshold in (0.5, 0.9):
+        near = np.abs(p64 - threshold) <= FLOAT32_PROB_TOL
+        flipped = is_tunneling(p32, threshold) != is_tunneling(p64, threshold)
+        assert not (flipped & ~near).any(), [n for n, f in zip(names, flipped & ~near) if f]
+    print(f"\nPASS float32 scoring: max |p32 - p64| = {worst:.2e} (<= {FLOAT32_PROB_TOL:g}) over "
+          f"{len(names)} held-out names; verdicts at 0.5 and 0.9 agree but within {FLOAT32_PROB_TOL:g} "
+          f"of the threshold ({int(np.sum(np.abs(p64 - 0.5) <= FLOAT32_PROB_TOL))} and "
+          f"{int(np.sum(np.abs(p64 - 0.9) <= FLOAT32_PROB_TOL))} names there)")
 
 
 def test_criterion_5_threshold_monotonicity():

@@ -11,13 +11,30 @@ import pytest
 
 from tunneldetect import cli, datagen, evaluation
 from tunneldetect.cli import main
-from tunneldetect.model_store import load
+from tunneldetect.model_store import load, save
 from tunneldetect.tokenizer import encoding_key
 from tunneldetect.training import TrainConfig, kfold_cross_validate
 
 from conftest import make_separable_corpus
+from test_evaluation import SCORE_BATCH_BOUND_F32
 
 TOY_HP_FLAG = "nf=8 ks=3 sl=1 d=8 l=10 hn=8"
+
+
+def assert_float32_scores(out, model_file, qnames, threshold=0.5):
+    """classify's stdout against `score` over the float32 weights that
+    classify loads: names and verdicts exactly, and each printed
+    probability within half a unit of its sixth decimal plus the float32
+    batch bound."""
+    params, hp, _vocab = load(model_file, np.float32)
+    probs = evaluation.score(params, hp, qnames)
+    called = evaluation.is_tunneling(probs, threshold)
+    rows = [line.split("\t") for line in out.splitlines(keepends=True)]
+    assert [(name, verdict) for name, _, verdict in rows] == [
+        (name, f"{datagen.LABEL_TUNNELING if c else datagen.LABEL_NORMAL}\n") for name, c in zip(qnames, called)
+    ]
+    assert all(len(p) == len("0.123456") for _, p, _ in rows)
+    assert np.abs(np.array([float(p) for _, p, _ in rows]) - probs).max() <= 0.5e-6 + SCORE_BATCH_BOUND_F32
 
 
 def write_toy_corpus(path, total=60, seed=0):
@@ -290,6 +307,26 @@ class TestClassify:
         assert "skipped 1" in captured.err
         assert "names outside --apex: 1" in captured.err
 
+    def test_weight_beyond_float32_range_is_data_error(self, toy_model_file, capsys, monkeypatch):
+        # a well-formed float64 file whose weight float32 cannot hold
+        params, hp, _vocab = load(toy_model_file)
+        params.dense1_w[3, 1] = 1e39
+        save(params, hp, toy_model_file)
+        monkeypatch.setattr("sys.stdin", io.StringIO("example.com\n"))
+        assert main(["classify", "--model", str(toy_model_file)]) == 4
+        captured = capsys.readouterr()
+        assert "dense1_w holds a weight beyond the range of float32" in captured.err
+        assert captured.out == ""
+
+    def test_repeat_runs_print_identical_bytes(self, tmp_path, toy_model_file, capsys):
+        path = tmp_path / "queries.log"
+        write_repetitive_log(path, load(toy_model_file)[1].l)
+        outputs = []
+        for _ in range(2):
+            assert main(["classify", "--model", str(toy_model_file), "--input", str(path), "--format", "dnsmasq"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
 
     @pytest.mark.parametrize("apex", ["", "exfil test.com", "a..example"])
     def test_implausible_apex_is_data_error(self, tmp_path, toy_model_file, capsys, apex):
@@ -322,14 +359,9 @@ class TestClassify:
         rc = main(["classify", "--model", str(toy_model_file), "--apex", "evil.example", "--threshold", "0.5"])
         assert rc == 0
         captured = capsys.readouterr()
-        params, hp, _vocab = load(toy_model_file)
-        probs = evaluation.score(params, hp, scored)
-        called = evaluation.is_tunneling(probs, 0.5)
+        _params, hp, _vocab = load(toy_model_file)
         assert len(scored) > evaluation.SCORE_CHUNK
-        assert captured.out == "".join(
-            f"{name}\t{p:.6f}\t{datagen.LABEL_TUNNELING if c else datagen.LABEL_NORMAL}\n"
-            for name, p, c in zip(scored, probs, called)
-        )
+        assert_float32_scores(captured.out, toy_model_file, scored)
         skipped = sum(line == "bad name!\n" for line in lines)
         outside = len(lines) - skipped - len(scored)
         assert captured.err.splitlines() == [
@@ -372,15 +404,6 @@ class TestClassifyCache:
         assert len(keys) < len({n.lower() for n in qnames}) < len(set(qnames))
         return path, qnames, keys
 
-    def uncached_stdout(self, model_file, qnames, threshold=0.5):
-        params, hp, _vocab = load(model_file)
-        probs = evaluation.score(params, hp, qnames)
-        called = evaluation.is_tunneling(probs, threshold)
-        return "".join(
-            f"{name}\t{p:.6f}\t{datagen.LABEL_TUNNELING if c else datagen.LABEL_NORMAL}\n"
-            for name, p, c in zip(qnames, probs, called)
-        )
-
     def classify(self, model_file, path, monkeypatch, fmt="dnsmasq"):
         """The rows of each forward_batch call of classify on `path`."""
         rows = []
@@ -400,7 +423,7 @@ class TestClassifyCache:
         path, qnames, keys = log
         forwarded = sum(self.classify(toy_model_file, path, monkeypatch))
         captured = capsys.readouterr()
-        assert captured.out == self.uncached_stdout(toy_model_file, qnames)
+        assert_float32_scores(captured.out, toy_model_file, qnames)
         assert forwarded == len(keys)
         assert f"names scored: {len(qnames)}, distinct names forwarded: {len(keys)}" in captured.err
         assert "--apex" not in captured.err
@@ -410,7 +433,7 @@ class TestClassifyCache:
         path, qnames, keys = log
         monkeypatch.setattr(evaluation, "SCORE_CHUNK", chunk)
         rows = self.classify(toy_model_file, path, monkeypatch)
-        assert capsys.readouterr().out == self.uncached_stdout(toy_model_file, qnames)
+        assert_float32_scores(capsys.readouterr().out, toy_model_file, qnames)
         assert len(rows) == math.ceil(len(keys) / chunk)
         assert rows[:-1] == [chunk] * (len(rows) - 1)
         assert sum(rows) == len(keys)
@@ -419,7 +442,7 @@ class TestClassifyCache:
         path, qnames, keys = log
         monkeypatch.setattr(cli, "NAME_CACHE_SIZE", 3)
         forwarded = sum(self.classify(toy_model_file, path, monkeypatch))
-        assert capsys.readouterr().out == self.uncached_stdout(toy_model_file, qnames)
+        assert_float32_scores(capsys.readouterr().out, toy_model_file, qnames)
         assert forwarded > len(keys)
 
     def test_batches_keep_to_the_cache_size(self, toy_model_file, log, monkeypatch):
@@ -444,7 +467,7 @@ class TestClassifyCache:
         path = tmp_path / "names.txt"
         path.write_text("".join(name + "\n" for name in qnames))
         rows = self.classify(toy_model_file, path, monkeypatch, fmt="plain")
-        assert capsys.readouterr().out == self.uncached_stdout(toy_model_file, qnames)
+        assert_float32_scores(capsys.readouterr().out, toy_model_file, qnames)
         assert rows == [evaluation.SCORE_CHUNK]
         batches = [(len(batch), fresh) for batch, _, fresh in cli._classify_batches(params, hp, qnames, {})]
         assert batches == [(len(first), len(first)), (len(qnames) - len(first), 0)]

@@ -16,7 +16,9 @@ from tunneldetect.evaluation import (
 )
 from tunneldetect.network import DEFAULT_HYPERPARAMS, ModelParams, forward_batch, init_params
 from tunneldetect.tokenizer import encode_batch
+from tunneldetect.training import TrainConfig, train
 
+from conftest import loaded_float32
 from oracles import recount_metrics
 
 
@@ -46,13 +48,24 @@ def detected_names(samples, probs, threshold):
 
 
 # How far a name's probability may move with the rows it is forwarded
-# with: the bound `score`'s docstring states.
+# with: the bounds `score`'s docstring states for float64 and float32
+# weights.
 SCORE_BATCH_BOUND = 1e-12
+SCORE_BATCH_BOUND_F32 = 1e-6
 
 
 @pytest.fixture(scope="module")
 def reference_model():
     return init_params(DEFAULT_HYPERPARAMS, seed=1)
+
+
+@pytest.fixture(scope="module")
+def two_step_model_f32(tmp_path_factory):
+    """The reference config after two training steps (as perfbench's
+    classify-ref model), loaded as float32 the way classify loads it."""
+    corpus = build_corpus(desk_scale_spec(seed=5, per_class=128))
+    params = train(corpus, DEFAULT_HYPERPARAMS, TrainConfig(epochs=1, batch_size=128, seed=5))
+    return loaded_float32(params, DEFAULT_HYPERPARAMS, tmp_path_factory.mktemp("f32") / "model.bin")
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +94,21 @@ class TestScore:
         for i in [*range(0, n, 16), n - 1]:
             alone = forward_batch(reference_model, DEFAULT_HYPERPARAMS, x[i : i + 1])[0]
             assert abs(alone - want[i]) <= SCORE_BATCH_BOUND, names[i]
+
+    @pytest.mark.parametrize("n", [SCORE_CHUNK + 1, 2 * SCORE_CHUNK + 1])
+    def test_float32_rows_agree_across_batches(self, two_step_model_f32, desk_names, n):
+        # float32 sums round far more coarsely: measured up to 2.3e-8 on
+        # these rows (4.6e-8 on 600 shuffled desk names), against the 1e-6
+        # that score's docstring states
+        names = desk_names[:n]
+        got = score(two_step_model_f32, DEFAULT_HYPERPARAMS, names)
+        x = encode_batch(names, DEFAULT_HYPERPARAMS.l)
+        want = forward_batch(two_step_model_f32, DEFAULT_HYPERPARAMS, x)
+        assert got.dtype == want.dtype == np.float64
+        assert np.abs(got - want).max() <= SCORE_BATCH_BOUND_F32
+        for i in [*range(0, n, 16), n - 1]:
+            alone = forward_batch(two_step_model_f32, DEFAULT_HYPERPARAMS, x[i : i + 1])[0]
+            assert abs(alone - want[i]) <= SCORE_BATCH_BOUND_F32, names[i]
 
 
 class TestClassify:

@@ -13,10 +13,11 @@ from tunneldetect.model_store import (
     TruncatedModelError,
     UnsupportedVersionError,
     VocabularyMismatchError,
+    WeightRangeError,
     load,
     save,
 )
-from tunneldetect.network import Hyperparams, forward_batch, init_params
+from tunneldetect.network import Hyperparams, expected_shapes, forward_batch, init_params
 from tunneldetect.tokenizer import LITERALS
 
 
@@ -216,3 +217,33 @@ class TestCorruption:
         _rewrite_with_checksum(path, bytes(data[:-4]))
         with pytest.raises(VocabularyMismatchError):
             load(path)
+
+
+class TestFloat32Load:
+    def test_each_block_rounded_to_nearest(self, saved_model):
+        params, hp, path = saved_model
+        loaded, loaded_hp, _ = load(path, np.float32)
+        assert loaded_hp == hp
+        for (name, a), (_, b) in zip(params.arrays(), loaded.arrays()):
+            assert b.dtype == np.float32, name
+            np.testing.assert_array_equal(a.astype(np.float32), b, err_msg=name)
+
+    @pytest.mark.parametrize("block", list(expected_shapes(Hyperparams(1, 1, 1, 1, 1, 1))))
+    def test_finite_weight_beyond_float32_range_names_its_block(self, tmp_path, tiny_hp, block):
+        params = init_params(tiny_hp, seed=4)
+        getattr(params, block).reshape(-1)[-1] = -1e39
+        path = tmp_path / "model.bin"
+        save(params, tiny_hp, path)  # a well-formed file: its checksum holds
+        wide, _, _ = load(path)
+        assert getattr(wide, block).reshape(-1)[-1] == -1e39
+        with pytest.raises(WeightRangeError, match=f"^{block} holds a weight beyond the range of float32"):
+            load(path, np.float32)
+
+    def test_float32_maximum_loads(self, tmp_path, tiny_hp):
+        params = init_params(tiny_hp, seed=4)
+        top = float(np.finfo(np.float32).max)
+        params.dense1_w[0, 0], params.dense1_w[0, 1] = top, -top
+        path = tmp_path / "model.bin"
+        save(params, tiny_hp, path)
+        loaded, _, _ = load(path, np.float32)
+        assert loaded.dense1_w[0, :2].tolist() == [top, -top]

@@ -18,7 +18,7 @@ from tunneldetect.network import (
 )
 from tunneldetect.tokenizer import PAD_IDX, encode_batch
 
-from conftest import CONV_HPS, CONV_IDS
+from conftest import CONV_HPS, CONV_IDS, loaded_float32
 from oracles import (
     GRADCHECK_CASES,
     KINK_CLEARANCE,
@@ -121,16 +121,20 @@ class TestForward:
             forward_batch(tiny_model, tiny_hp, x), forward_batch(tiny_model, tiny_hp, x)
         )
 
-    def test_probability_in_open_interval(self, tiny_hp):
+    def test_probability_in_open_interval(self, tiny_hp, tmp_path):
         rng = np.random.default_rng(11)
         for scale in (1.0, 50.0, 5000.0):
             params = init_params(tiny_hp, 3)
             params.dense2_w[:] = rng.normal(0, scale, size=params.dense2_w.shape)
             params.dense2_b[:] = rng.normal(0, scale)
             x = rng.integers(0, 45, size=(20, tiny_hp.l))
-            p = forward_batch(params, tiny_hp, x)
-            assert np.all(p > 0.0)
-            assert np.all(p < 1.0)
+            # float32 weights as classify loads them: the logit is cast to
+            # float64 before the sigmoid
+            for weights in (params, loaded_float32(params, tiny_hp, tmp_path / "model.bin")):
+                p = forward_batch(weights, tiny_hp, x)
+                assert p.dtype == np.float64
+                assert np.all(p > 0.0)
+                assert np.all(p < 1.0)
 
     def test_length_mismatch_raises(self, tiny_hp, tiny_model):
         with pytest.raises(ValueError, match="length"):
@@ -315,6 +319,13 @@ class TestBackward:
         assert l1 == pytest.approx(l2, rel=1e-12)
         for (name, a), (_, b) in zip(g1.arrays(), g2.arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-12, err_msg=name)
+
+    def test_float32_weights_rejected(self, tiny_hp, tiny_model, tmp_path):
+        # training and the gradient check are float64 only
+        params = loaded_float32(tiny_model, tiny_hp, tmp_path / "model.bin")
+        x = encode_batch(["abc123.example.com"], tiny_hp.l)
+        with pytest.raises(ValueError, match="float64"):
+            backward_batch(params, tiny_hp, x, np.array([1.0]))
 
     def test_empty_batch_raises(self, tiny_hp, tiny_model):
         with pytest.raises(ValueError, match="nonempty"):

@@ -43,14 +43,29 @@ def test_patched_function_exists(module, function):
     assert callable(getattr(importlib.import_module(f"tunneldetect.{module}"), function, None))
 
 
-def test_checks_model_agrees_with_score(tmp_path):
+def saved_model(path):
     hp = Hyperparams(nf=5, ks=3, sl=2, d=4, l=16, hn=3)
     params = init_params(hp, seed=12)
     rng = np.random.default_rng(12)
     params.conv_b[:] = rng.normal(0, 0.3, size=hp.nf)
     params.dense1_b[:] = rng.normal(0, 0.3, size=hp.hn)
-    path = tmp_path / "model.bin"
     model_store.save(params, hp, path)
+    return params, hp
+
+
+def test_load_without_dtype_is_float64_bitwise(tmp_path):
+    # checks.Model loads with no dtype; its reference forward and the
+    # 1e-6 scatter check need exactly the float64 weights save wrote
+    params, _hp = saved_model(tmp_path / "model.bin")
+    loaded, _, _ = model_store.load(tmp_path / "model.bin")
+    for (name, a), (_, b) in zip(params.arrays(), loaded.arrays()):
+        assert b.dtype == np.float64, name
+        assert b.tobytes() == a.tobytes(), name
+
+
+def test_checks_model_agrees_with_score(tmp_path):
+    path = tmp_path / "model.bin"
+    params, hp = saved_model(path)
 
     model = checks.Model(path)
     assert checks.check_model(model, hp, is_reference=False) == []
