@@ -3,21 +3,20 @@
 File layout (all integers little-endian):
 
     magic        8 bytes  b"DNSTCNN\\x01"
-    version      u32
+    version      u32      2
     hyperparams  6 x u32  (nf, ks, sl, d, l, hn)
-    vocabulary   u32 byte length + UTF-8 literal characters (indices 2..)
-    block count  u32
-    per block    u8 name length + ASCII name,
-                 u8 ndim + ndim x u32 dims,
-                 float64 LE values
+    weights      float64 LE values of the seven ModelParams blocks, in
+                 field order, each shaped as expected_shapes(hp) says
     checksum     u32 CRC-32 over all preceding bytes
 
+The hyperparameters fix the shape of every block, so the file holds no
+block names, counts or dims, and its size follows from the header. The
+version stands for the fixed alphabet (tokenizer.LITERALS), the field
+order and this layout; changing any of them means a new version.
 Weights are stored as raw 64-bit floats so save/load round-trips are
 bitwise exact at float64; load can also convert them to another dtype
 (classify loads float32). Every corruption class raises its own error
-type, except that a damaged length, count or dims field may report
-truncation: it misplaces every later field, so the bytes can run out
-before the checksum is compared.
+type.
 """
 
 from __future__ import annotations
@@ -33,7 +32,11 @@ from .network import Hyperparams, ModelParams, expected_shapes
 from .tokenizer import LITERALS, Vocabulary
 
 MAGIC = b"DNSTCNN\x01"
-VERSION = 1
+VERSION = 2
+
+_HEADER = struct.Struct("<8sI6I")  # magic, version, hyperparameters
+_CHECKSUM = struct.Struct("<I")
+_FINITE_CHUNK = 1 << 16  # values per isfinite pass: a 64 KB mask, not one the size of dense1_w
 
 
 class ModelFormatError(Exception):
@@ -41,7 +44,8 @@ class ModelFormatError(Exception):
 
 
 class TruncatedModelError(ModelFormatError):
-    """File ends before the declared content."""
+    """File is shorter or longer than its header implies, and its
+    checksum fails: it was cut short or extended."""
 
 
 class BadMagicError(ModelFormatError):
@@ -57,127 +61,94 @@ class ChecksumError(ModelFormatError):
 
 
 class ShapeMismatchError(ModelFormatError):
-    """Declared shapes disagree with the declared hyperparameters."""
-
-
-class VocabularyMismatchError(ModelFormatError):
-    """Stored vocabulary literals differ from the fixed alphabet."""
+    """Stored hyperparameters are invalid, or a checksummed file's size
+    disagrees with the one they imply."""
 
 
 class WeightRangeError(ModelFormatError):
-    """A stored weight is finite but lies beyond the range of the dtype
-    it is loaded as (|w| > 3.4e38 for float32)."""
+    """A stored weight is NaN or infinite, or is finite but lies beyond
+    the range of the dtype it is loaded as (|w| > 3.4e38 for float32)."""
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    flat = arr.reshape(-1)
+    return all(np.isfinite(flat[i : i + _FINITE_CHUNK]).all() for i in range(0, flat.size, _FINITE_CHUNK))
 
 
 def save(params: ModelParams, hp: Hyperparams, path) -> None:
-    """Write the model file with the fixed alphabet; byte output is
-    deterministic. Each weight block's values are written from the
-    array's own buffer, with the checksum kept running, so no copy of
-    the weights is made."""
+    """Write the model file; byte output is deterministic. Each weight
+    block's values are written from the array's own buffer, with the
+    checksum kept running, so no copy of the weights is made. A block
+    of the wrong shape or holding a non-finite weight raises ValueError
+    before the file is opened."""
     shapes = expected_shapes(hp)
     for name, arr in params.arrays():
         if arr.shape != shapes[name]:
             raise ValueError(f"{name} has shape {arr.shape}, expected {shapes[name]} for these hyperparameters")
+        if not _all_finite(arr):
+            raise ValueError(f"{name} holds a non-finite weight")
 
-    literals = LITERALS.encode("utf-8")
-    blocks = list(params.arrays())
     with open(path, "wb") as fh:
-        crc = 0
-
-        def write(data) -> None:
-            nonlocal crc
-            crc = zlib.crc32(data, crc)
-            fh.write(data)
-
-        write(MAGIC + struct.pack("<I6II", VERSION, *astuple(hp), len(literals)) + literals)
-        write(struct.pack("<I", len(blocks)))
-        for name, arr in blocks:
-            encoded = name.encode("ascii")
-            write(struct.pack(f"<B{len(encoded)}sB{arr.ndim}I", len(encoded), encoded, arr.ndim, *arr.shape))
-            write(memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B"))
-        fh.write(struct.pack("<I", crc))
-
-
-class _Cursor:
-    """Reads fields off a memoryview; take() returns views, not copies."""
-
-    def __init__(self, data: memoryview):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise TruncatedModelError(
-                f"file ends at byte {len(self.data)}, needed {self.pos + n}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        header = _HEADER.pack(MAGIC, VERSION, *astuple(hp))
+        fh.write(header)
+        crc = zlib.crc32(header)
+        for _, arr in params.arrays():
+            values = memoryview(np.ascontiguousarray(arr, dtype="<f8")).cast("B")
+            crc = zlib.crc32(values, crc)
+            fh.write(values)
+        fh.write(_CHECKSUM.pack(crc))
 
 
 def load(path, dtype=np.float64) -> tuple[ModelParams, Hyperparams, Vocabulary]:
     """Read a model file back, converting each weight block once from
     its stored float64 values into an array of `dtype`. At float64 the
     weights are bitwise what save() wrote; at float32 each is rounded to
-    nearest, and a finite weight beyond float32's range raises
-    WeightRangeError naming its block instead of becoming inf.
+    nearest. A NaN or infinite weight, or a finite one beyond the range
+    of `dtype`, raises WeightRangeError naming its block.
 
-    Hostile bytes raise only ModelFormatError subclasses: nothing is
-    decoded strictly, and no array is built before the checksum and the
-    declared shapes hold.
+    Hostile bytes raise only ModelFormatError subclasses. The file size
+    the stored hyperparameters imply and the checksum are both checked
+    before any array is built, so a header claiming an enormous model
+    allocates nothing. Files of any other version, version 1 included,
+    raise UnsupportedVersionError.
     """
     with open(path, "rb") as fh:
         data = memoryview(fh.read())
 
-    cur = _Cursor(data)
-    if cur.take(len(MAGIC)) != MAGIC:
+    if len(data) < _HEADER.size + _CHECKSUM.size:
+        raise TruncatedModelError(f"file has {len(data)} bytes, fewer than a model file's header and checksum")
+    magic, version, *stored_hp = _HEADER.unpack_from(data)
+    if magic != MAGIC:
         raise BadMagicError(f"not a model file: bad magic in {path}")
-    version = cur.u32()
     if version != VERSION:
-        raise UnsupportedVersionError(f"model format version {version}, reader supports {VERSION}")
-
-    stored_hp = [cur.u32() for _ in range(6)]
+        raise UnsupportedVersionError(
+            f"model format version {version}, this reader supports only version {VERSION}; "
+            f"retrain the model to write a version {VERSION} file"
+        )
     try:
         hp = Hyperparams(*stored_hp)
     except ValueError as exc:
         raise ShapeMismatchError(f"invalid stored hyperparameters: {exc}") from None
-    literals = bytes(cur.take(cur.u32()))
 
-    blocks: list[tuple[str, tuple[int, ...], memoryview]] = []
-    for _ in range(cur.u32()):
-        name = bytes(cur.take(cur.u8())).decode("ascii", "replace")
-        shape = tuple(cur.u32() for _ in range(cur.u8()))
-        blocks.append((name, shape, cur.take(math.prod(shape) * 8)))
-
-    body_end = cur.pos
-    stored = cur.u32()
-    if cur.pos != len(data):
-        raise TruncatedModelError(f"{len(data) - cur.pos} unexpected trailing bytes")
-    if stored != zlib.crc32(data[:body_end]):
+    shapes = expected_shapes(hp)
+    size = _HEADER.size + 8 * sum(math.prod(shape) for shape in shapes.values()) + _CHECKSUM.size
+    checksum_holds = _CHECKSUM.unpack_from(data, len(data) - _CHECKSUM.size)[0] == zlib.crc32(data[:-_CHECKSUM.size])
+    if len(data) != size:
+        if checksum_holds:
+            raise ShapeMismatchError(f"file has {len(data)} bytes, its hyperparameters {hp} imply {size}")
+        raise TruncatedModelError(f"file has {len(data)} bytes, its header implies {size}")
+    if not checksum_holds:
         raise ChecksumError(f"checksum mismatch in {path}")
 
-    if literals != LITERALS.encode("utf-8"):
-        raise VocabularyMismatchError(
-            f"stored vocabulary {literals!r} differs from the fixed alphabet {LITERALS!r}"
-        )
-    shapes = expected_shapes(hp)
-    names = [name for name, _, _ in blocks]
-    if sorted(names) != sorted(shapes):
-        raise ShapeMismatchError(f"weight blocks {sorted(names)} do not match expected {sorted(shapes)}")
     arrays = {}
-    for name, shape, raw in blocks:
-        if shape != shapes[name]:
-            raise ShapeMismatchError(f"{name} stored as {shape}, hyperparameters imply {shapes[name]}")
-        try:
-            with np.errstate(over="raise"):
-                arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(dtype)
-        except FloatingPointError:
-            raise WeightRangeError(f"{name} holds a weight beyond the range of {np.dtype(dtype).name}") from None
+    offset = _HEADER.size
+    for name, shape in shapes.items():
+        stored = np.frombuffer(data, dtype="<f8", count=math.prod(shape), offset=offset).reshape(shape)
+        offset += stored.nbytes
+        with np.errstate(over="ignore"):
+            arrays[name] = stored.astype(dtype)
+        if not _all_finite(arrays[name]):
+            fault = f"a weight beyond the range of {np.dtype(dtype).name}" if _all_finite(stored) else "a non-finite weight"
+            raise WeightRangeError(f"{name} holds {fault}")
 
     return ModelParams(**arrays), hp, Vocabulary(LITERALS)

@@ -17,6 +17,7 @@ from tunneldetect.training import TrainConfig, kfold_cross_validate
 
 from conftest import make_separable_corpus
 from test_evaluation import SCORE_BATCH_BOUND_F32
+from test_model_store import store_weight, with_version
 
 TOY_HP_FLAG = "nf=8 ks=3 sl=1 d=8 l=10 hn=8"
 
@@ -230,6 +231,16 @@ class TestTrain:
         assert not out.exists()
         assert not (tmp_path / "m.bin.manifest.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_weights_are_not_saved(self, tmp_path, toy_corpus_file, capsys):
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--corpus", str(toy_corpus_file), "--out", str(out),
+                   "--hp", TOY_HP_FLAG, "--epochs", "2", "--lr", "1e300"])
+        assert rc == 4
+        assert "holds a non-finite weight" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "m.bin.manifest.json").exists()
+
 
 class TestEvaluate:
     def test_perfect_model_reports_f1_one(self, tmp_path, toy_corpus_file, toy_model_file, capsys):
@@ -318,6 +329,16 @@ class TestClassify:
         assert "dense1_w holds a weight beyond the range of float32" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_weight_is_data_error(self, toy_model_file, capsys, monkeypatch, value):
+        # a well-formed file (its checksum holds) that save would refuse
+        store_weight(toy_model_file, load(toy_model_file)[1], "dense2_b", value)
+        monkeypatch.setattr("sys.stdin", io.StringIO("example.com\n"))
+        assert main(["classify", "--model", str(toy_model_file)]) == 4
+        captured = capsys.readouterr()
+        assert "dense2_b holds a non-finite weight" in captured.err
+        assert captured.out == ""
+
     def test_repeat_runs_print_identical_bytes(self, tmp_path, toy_model_file, capsys):
         path = tmp_path / "queries.log"
         write_repetitive_log(path, load(toy_model_file)[1].l)
@@ -391,6 +412,17 @@ def write_repetitive_log(path, hp_l):
         lines.append(f"Jan 1 00:00:00 dnsmasq[1]: query[A] {name} from 10.0.0.2\n")
     path.write_text("".join(lines))
     return qnames
+
+
+@pytest.mark.parametrize("subcommand", ["evaluate", "classify"])
+def test_version_1_model_is_data_error(toy_corpus_file, toy_model_file, capsys, monkeypatch, subcommand):
+    with_version(toy_model_file, 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO("example.com\n"))
+    extra = ["--corpus", str(toy_corpus_file)] if subcommand == "evaluate" else []
+    assert main([subcommand, "--model", str(toy_model_file), *extra]) == 4
+    captured = capsys.readouterr()
+    assert "model format version 1, this reader supports only version 2; retrain" in captured.err
+    assert captured.out == ""
 
 
 class TestClassifyCache:

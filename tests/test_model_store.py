@@ -1,5 +1,10 @@
+import hashlib
+import math
 import struct
+import tracemalloc
 import zlib
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,13 +17,17 @@ from tunneldetect.model_store import (
     ShapeMismatchError,
     TruncatedModelError,
     UnsupportedVersionError,
-    VocabularyMismatchError,
+    VERSION,
     WeightRangeError,
     load,
     save,
 )
-from tunneldetect.network import Hyperparams, expected_shapes, forward_batch, init_params
+from tunneldetect.network import Hyperparams, ModelParams, expected_shapes, forward_batch, init_params
 from tunneldetect.tokenizer import LITERALS
+
+ONES_HP = Hyperparams(nf=1, ks=1, sl=1, d=1, l=1, hn=1)
+BLOCKS = list(expected_shapes(ONES_HP))
+HEADER_SIZE = len(MAGIC) + 4 + 6 * 4  # magic, version, hyperparameters
 
 
 @pytest.fixture
@@ -29,13 +38,30 @@ def saved_model(tmp_path, tiny_hp):
     return params, tiny_hp, path
 
 
-LITERALS_OFFSET = len(MAGIC) + 4 + 6 * 4 + 4  # magic, version, hyperparameters, literal length
-
-
-def _rewrite_with_checksum(path, body: bytes):
+def rewrite_with_checksum(path, body: bytes):
+    """Write `body` to `path` followed by its valid CRC-32."""
     with open(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body)))
+
+
+def store_weight(path, hp, block, value):
+    """Overwrite the last stored value of `block` in the model file at
+    `path` with `value` and fix the checksum: a well-formed file that
+    save() would refuse to write."""
+    shapes = expected_shapes(hp)
+    offset = HEADER_SIZE + 8 * sum(math.prod(shapes[name]) for name in BLOCKS[: BLOCKS.index(block) + 1]) - 8
+    body = bytearray(path.read_bytes()[:-4])
+    struct.pack_into("<d", body, offset, value)
+    rewrite_with_checksum(path, bytes(body))
+
+
+def with_version(path, version):
+    """Rewrite the model file at `path` to declare `version`, with a
+    valid checksum."""
+    body = bytearray(path.read_bytes()[:-4])
+    struct.pack_into("<I", body, len(MAGIC), version)
+    rewrite_with_checksum(path, bytes(body))
 
 
 class TestRoundtrip:
@@ -77,6 +103,37 @@ class TestRoundtrip:
         with pytest.raises(ValueError, match="shape"):
             save(params, other, tmp_path / "bad.bin")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_non_finite_weights(self, tmp_path, tiny_hp, value):
+        params = init_params(tiny_hp, seed=3)
+        params.conv_b[1] = value
+        path = tmp_path / "bad.bin"
+        with pytest.raises(ValueError, match="^conv_b holds a non-finite weight"):
+            save(params, tiny_hp, path)
+        assert not path.exists()
+
+
+def test_version_pins_alphabet_field_order_and_layout(tmp_path):
+    # The file stores neither the alphabet nor block names: VERSION stands
+    # for both. Changing the alphabet, the field order or the layout
+    # without bumping VERSION fails here.
+    assert VERSION == 2
+    assert LITERALS == "abcdefghijklmnopqrstuvwxyz0123456789-._=+/~"
+    assert [f.name for f in fields(ModelParams)] == BLOCKS == [
+        "embedding", "conv_w", "conv_b", "dense1_w", "dense1_b", "dense2_w", "dense2_b",
+    ]
+    shapes = expected_shapes(ONES_HP)
+    values = np.arange(sum(math.prod(shape) for shape in shapes.values()), dtype=np.float64)
+    ends = np.cumsum([math.prod(shape) for shape in shapes.values()])
+    params = ModelParams(*(v.reshape(shape) for v, shape in zip(np.split(values, ends[:-1]), shapes.values())))
+    path = tmp_path / "model.bin"
+    save(params, ONES_HP, path)
+    blob = path.read_bytes()
+    body = MAGIC + struct.pack("<7I", 2, 1, 1, 1, 1, 1, 1) + values.astype("<f8").tobytes()
+    assert blob == body + struct.pack("<I", zlib.crc32(body))
+    assert len(blob) == 448
+    assert hashlib.sha256(blob).hexdigest() == "df96419e968e9b5879a8b868198e8e266fc5b7dccde35de4bc1063e3a9b3488f"
+
 
 class TestCorruption:
     def test_truncated_file(self, saved_model):
@@ -112,11 +169,14 @@ class TestCorruption:
 
     def test_unsupported_version(self, saved_model):
         _, _, path = saved_model
-        data = bytearray(path.read_bytes())
-        # version field sits right after the magic
-        data[len(MAGIC)] = 99
-        _rewrite_with_checksum(path, bytes(data[:-4]))
+        with_version(path, 99)
         with pytest.raises(UnsupportedVersionError):
+            load(path)
+
+    def test_version_1_file_asks_for_retraining(self, saved_model):
+        _, _, path = saved_model
+        with_version(path, 1)
+        with pytest.raises(UnsupportedVersionError, match="version 1, .* only version 2; retrain"):
             load(path)
 
     def test_declared_hyperparams_disagree_with_blocks(self, saved_model):
@@ -125,7 +185,7 @@ class TestCorruption:
         # hn is the last of the six u32 hyperparameter fields
         hn_offset = len(MAGIC) + 4 + 5 * 4
         struct.pack_into("<I", data, hn_offset, hp.hn * 2)
-        _rewrite_with_checksum(path, bytes(data[:-4]))
+        rewrite_with_checksum(path, bytes(data[:-4]))
         with pytest.raises(ShapeMismatchError):
             load(path)
 
@@ -141,21 +201,14 @@ class TestCorruption:
             load(path)
 
     def test_every_single_bit_flip_is_a_format_error(self, tmp_path):
-        hp = Hyperparams(nf=1, ks=1, sl=1, d=1, l=1, hn=1)
-        params = init_params(hp, seed=1)
+        params = init_params(ONES_HP, seed=1)
         path = tmp_path / "smallest.bin"
-        save(params, hp, path)
+        save(params, ONES_HP, path)
         blob = path.read_bytes()
-        # the header field under each byte; "size" is every length, count,
-        # ndim and dims field
         fields = ["magic"] * len(MAGIC) + ["version"] * 4 + ["hyperparameters"] * 24
-        fields += ["size"] * 4 + ["literals"] * len(LITERALS) + ["size"] * 4
-        for name, arr in params.arrays():
-            fields += ["size"] + ["block name"] * len(name) + ["size"] * (1 + 4 * arr.ndim)
-            fields += ["values"] * (8 * arr.size)
-        fields += ["checksum"] * 4
-        assert len(fields) == len(blob)
-        raised = {field: set() for field in fields}
+        fields += ["values"] * (8 * sum(arr.size for _, arr in params.arrays())) + ["checksum"] * 4
+        assert len(fields) == len(blob) == 448
+        raised = {field: Counter() for field in fields}
         for offset in range(len(blob)):
             for bit in range(8):
                 corrupt = bytearray(blob)
@@ -163,59 +216,42 @@ class TestCorruption:
                 path.write_bytes(bytes(corrupt))
                 with pytest.raises(ModelFormatError) as info:
                     load(path)
-                raised[fields[offset]].add(type(info.value))
-        # a damaged size field misplaces every later field, so the bytes
-        # can run out (truncation) before the checksum is compared
+                raised[fields[offset]][type(info.value)] += 1
+        # A hyperparameter flip to 0, or of ks above l = 1, is invalid
+        # (6 + 31 flips); one that changes the implied file size leaves
+        # the size wrong and the checksum failing; a stride flip keeps
+        # the size (l = ks = 1 gives one conv window at any stride).
         assert raised == {
-            "magic": {BadMagicError},
-            "version": {UnsupportedVersionError},
-            "hyperparameters": {ShapeMismatchError, ChecksumError},
-            "size": {TruncatedModelError, ChecksumError},
-            "literals": {ChecksumError},
-            "block name": {ChecksumError},
-            "values": {ChecksumError},
-            "checksum": {ChecksumError},
+            "magic": {BadMagicError: 64},
+            "version": {UnsupportedVersionError: 32},
+            "hyperparameters": {ShapeMismatchError: 37, TruncatedModelError: 124, ChecksumError: 31},
+            "values": {ChecksumError: 8 * 408},
+            "checksum": {ChecksumError: 32},
         }
 
-    def test_overflowing_dims_report_truncation(self, saved_model):
+    def test_header_implying_an_enormous_model_allocates_nothing(self, saved_model):
         _, _, path = saved_model
-        data = bytearray(path.read_bytes())
-        literals = LITERALS.encode("utf-8")
-        # first block: u32 block count, u8 name length, "embedding", u8 ndim, dims
-        dims_offset = LITERALS_OFFSET + len(literals) + 4 + 1 + len(b"embedding") + 1
-        assert data[dims_offset - 1] == 2
-        struct.pack_into("<2I", data, dims_offset, 0xFFFFFFFF, 0xFFFFFFFF)
-        _rewrite_with_checksum(path, bytes(data[:-4]))
-        with pytest.raises(TruncatedModelError):
-            load(path)
+        body = bytearray(path.read_bytes()[:-4])
+        struct.pack_into("<6I", body, len(MAGIC) + 4, 2**32 - 1, 1, 1, 1, 1, 2**32 - 2)
+        rewrite_with_checksum(path, bytes(body))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
-    @pytest.mark.parametrize("edit", ["repeated-first-block", "last-block-dropped"])
-    def test_block_names_must_be_the_expected_seven(self, tmp_path, edit):
-        hp = Hyperparams(nf=1, ks=1, sl=1, d=1, l=1, hn=1)
+    @pytest.mark.parametrize("edit", ["first-block-appended", "last-block-dropped"])
+    def test_values_fill_the_implied_shapes(self, tmp_path, edit):
         path = tmp_path / "model.bin"
-        save(init_params(hp, seed=1), hp, path)
+        save(init_params(ONES_HP, seed=1), ONES_HP, path)
         body = path.read_bytes()[:-4]
-        count_offset = LITERALS_OFFSET + len(LITERALS.encode("utf-8"))
-        assert struct.unpack_from("<I", body, count_offset) == (7,)
-        blocks = body[count_offset + 4 :]
-        # the embedding block: name, ndim 2, dims (45, 1), 45 values
-        first = 1 + len(b"embedding") + 1 + 2 * 4 + 45 * 8
-        assert blocks[1 : 1 + len(b"embedding")] == b"embedding"
-        # dense2_b: name, ndim 1, dims (1,), one value
-        last = 1 + len(b"dense2_b") + 1 + 4 + 8
-        count, blocks = (8, blocks + blocks[:first]) if edit == "repeated-first-block" else (6, blocks[:-last])
-        _rewrite_with_checksum(path, body[:count_offset] + struct.pack("<I", count) + blocks)
-        with pytest.raises(ShapeMismatchError, match="weight blocks"):
-            load(path)
-
-    def test_foreign_vocabulary_rejected(self, saved_model):
-        _, _, path = saved_model
-        data = bytearray(path.read_bytes())
-        literals = LITERALS.encode("utf-8")
-        assert data[LITERALS_OFFSET : LITERALS_OFFSET + len(literals)] == literals
-        data[LITERALS_OFFSET : LITERALS_OFFSET + len(literals)] = literals[::-1]
-        _rewrite_with_checksum(path, bytes(data[:-4]))
-        with pytest.raises(VocabularyMismatchError):
+        # the embedding block is (45, 1) values, dense2_b is one
+        body = body + body[HEADER_SIZE : HEADER_SIZE + 45 * 8] if edit == "first-block-appended" else body[:-8]
+        rewrite_with_checksum(path, body)
+        with pytest.raises(ShapeMismatchError, match="imply"):
             load(path)
 
 
@@ -228,7 +264,7 @@ class TestFloat32Load:
             assert b.dtype == np.float32, name
             np.testing.assert_array_equal(a.astype(np.float32), b, err_msg=name)
 
-    @pytest.mark.parametrize("block", list(expected_shapes(Hyperparams(1, 1, 1, 1, 1, 1))))
+    @pytest.mark.parametrize("block", BLOCKS)
     def test_finite_weight_beyond_float32_range_names_its_block(self, tmp_path, tiny_hp, block):
         params = init_params(tiny_hp, seed=4)
         getattr(params, block).reshape(-1)[-1] = -1e39
@@ -247,3 +283,13 @@ class TestFloat32Load:
         save(params, tiny_hp, path)
         loaded, _, _ = load(path, np.float32)
         assert loaded.dense1_w[0, :2].tolist() == [top, -top]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("block", BLOCKS)
+def test_non_finite_weight_names_its_block(saved_model, block, value, dtype):
+    _, hp, path = saved_model
+    store_weight(path, hp, block, value)
+    with pytest.raises(WeightRangeError, match=f"^{block} holds a non-finite weight"):
+        load(path, dtype)

@@ -1,5 +1,7 @@
 """Hypothesis property tests over arbitrary inputs."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -158,7 +160,7 @@ def _assert_loads_or_format_error(path, data: bytes):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.binary(), st.binary().map(lambda b: model_store.MAGIC + b"\x01\x00\x00\x00" + b)))
+@given(st.one_of(st.binary(), st.binary().map(lambda b: model_store.MAGIC + struct.pack("<I", model_store.VERSION) + b)))
 def test_load_of_arbitrary_bytes_fails_only_with_format_errors(model_path, data):
     _assert_loads_or_format_error(model_path, data)
 
