@@ -22,6 +22,8 @@ type.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 import zlib
 from dataclasses import astuple
@@ -36,7 +38,7 @@ VERSION = 2
 
 _HEADER = struct.Struct("<8sI6I")  # magic, version, hyperparameters
 _CHECKSUM = struct.Struct("<I")
-_FINITE_CHUNK = 1 << 16  # values per isfinite pass: a 64 KB mask, not one the size of dense1_w
+_FINITE_CHUNK = 1 << 16  # values per isfinite pass and per read in load: a 64 KB mask, not one the size of dense1_w
 
 
 class ModelFormatError(Exception):
@@ -106,49 +108,78 @@ def load(path, dtype=np.float64) -> tuple[ModelParams, Hyperparams, Vocabulary]:
     nearest. A NaN or infinite weight, or a finite one beyond the range
     of `dtype`, raises WeightRangeError naming its block.
 
-    Hostile bytes raise only ModelFormatError subclasses. The file size
-    the stored hyperparameters imply and the checksum are both checked
-    before any array is built, so a header claiming an enormous model
-    allocates nothing. Files of any other version, version 1 included,
+    Hostile bytes raise only ModelFormatError subclasses, checked in
+    this order: the header, the file size the stored hyperparameters
+    imply, the checksum, then the weights' range. The size is checked
+    before anything is allocated, so no allocation exceeds the file's
+    size and a header claiming an enormous model allocates nothing.
+    Each block is then read straight into its array (through one
+    _FINITE_CHUNK-value staging buffer when `dtype` is not the stored
+    little-endian float64), with the checksum kept running, so the file
+    bytes are never held beside the weights; the checksum is verified
+    before load returns. A pipe or other file without a size raises
+    ModelFormatError. Files of any other version, version 1 included,
     raise UnsupportedVersionError.
     """
     with open(path, "rb") as fh:
-        data = memoryview(fh.read())
+        status = os.fstat(fh.fileno())
+        if not stat.S_ISREG(status.st_mode):
+            raise ModelFormatError(f"{path} is not a regular file, so its size cannot be checked before it is read")
+        file_size = status.st_size
+        if file_size < _HEADER.size + _CHECKSUM.size:
+            raise TruncatedModelError(f"file has {file_size} bytes, fewer than a model file's header and checksum")
+        header = _read_exactly(fh, bytearray(_HEADER.size))
+        magic, version, *stored_hp = _HEADER.unpack(header)
+        if magic != MAGIC:
+            raise BadMagicError(f"not a model file: bad magic in {path}")
+        if version != VERSION:
+            raise UnsupportedVersionError(
+                f"model format version {version}, this reader supports only version {VERSION}; "
+                f"retrain the model to write a version {VERSION} file"
+            )
+        try:
+            hp = Hyperparams(*stored_hp)
+        except ValueError as exc:
+            raise ShapeMismatchError(f"invalid stored hyperparameters: {exc}") from None
 
-    if len(data) < _HEADER.size + _CHECKSUM.size:
-        raise TruncatedModelError(f"file has {len(data)} bytes, fewer than a model file's header and checksum")
-    magic, version, *stored_hp = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagicError(f"not a model file: bad magic in {path}")
-    if version != VERSION:
-        raise UnsupportedVersionError(
-            f"model format version {version}, this reader supports only version {VERSION}; "
-            f"retrain the model to write a version {VERSION} file"
-        )
-    try:
-        hp = Hyperparams(*stored_hp)
-    except ValueError as exc:
-        raise ShapeMismatchError(f"invalid stored hyperparameters: {exc}") from None
+        shapes = expected_shapes(hp)
+        size = _HEADER.size + 8 * sum(math.prod(shape) for shape in shapes.values()) + _CHECKSUM.size
+        crc = zlib.crc32(header)
+        if file_size != size:
+            rest = memoryview(_read_exactly(fh, bytearray(file_size - _HEADER.size)))
+            if _CHECKSUM.unpack(rest[-_CHECKSUM.size :])[0] == zlib.crc32(rest[: -_CHECKSUM.size], crc):
+                raise ShapeMismatchError(f"file has {file_size} bytes, its hyperparameters {hp} imply {size}")
+            raise TruncatedModelError(f"file has {file_size} bytes, its header implies {size}")
 
-    shapes = expected_shapes(hp)
-    size = _HEADER.size + 8 * sum(math.prod(shape) for shape in shapes.values()) + _CHECKSUM.size
-    checksum_holds = _CHECKSUM.unpack_from(data, len(data) - _CHECKSUM.size)[0] == zlib.crc32(data[:-_CHECKSUM.size])
-    if len(data) != size:
-        if checksum_holds:
-            raise ShapeMismatchError(f"file has {len(data)} bytes, its hyperparameters {hp} imply {size}")
-        raise TruncatedModelError(f"file has {len(data)} bytes, its header implies {size}")
-    if not checksum_holds:
-        raise ChecksumError(f"checksum mismatch in {path}")
-
-    arrays = {}
-    offset = _HEADER.size
-    for name, shape in shapes.items():
-        stored = np.frombuffer(data, dtype="<f8", count=math.prod(shape), offset=offset).reshape(shape)
-        offset += stored.nbytes
-        with np.errstate(over="ignore"):
-            arrays[name] = stored.astype(dtype)
-        if not _all_finite(arrays[name]):
-            fault = f"a weight beyond the range of {np.dtype(dtype).name}" if _all_finite(stored) else "a non-finite weight"
-            raise WeightRangeError(f"{name} holds {fault}")
+        direct = np.dtype(dtype) == np.dtype("<f8")
+        staging = None if direct else np.empty(_FINITE_CHUNK, "<f8")
+        arrays, fault = {}, None
+        for name, shape in shapes.items():
+            flat = np.empty(math.prod(shape), dtype)
+            for i in range(0, flat.size, _FINITE_CHUNK):
+                dest = flat[i : i + _FINITE_CHUNK]
+                stored = dest if direct else staging[: dest.size]
+                crc = zlib.crc32(_read_exactly(fh, memoryview(stored).cast("B")), crc)
+                if not direct:
+                    with np.errstate(over="ignore"):
+                        dest[...] = stored
+                if fault is None and not np.isfinite(dest).all():
+                    beyond = not direct and np.isfinite(stored).all()
+                    fault = f"{name} holds " + (
+                        f"a weight beyond the range of {np.dtype(dtype).name}" if beyond else "a non-finite weight"
+                    )
+            arrays[name] = flat.reshape(shape)
+        if _CHECKSUM.unpack(_read_exactly(fh, bytearray(_CHECKSUM.size)))[0] != crc:
+            raise ChecksumError(f"checksum mismatch in {path}")
+    if fault is not None:
+        raise WeightRangeError(fault)
 
     return ModelParams(**arrays), hp, Vocabulary(LITERALS)
+
+
+def _read_exactly(fh, buf):
+    """Fill `buf` from `fh` and return it; a short read means the file
+    shrank after its size was taken."""
+    if fh.readinto(buf) != len(buf):
+        raise TruncatedModelError(f"{fh.name} ended before the size its header implies")
+    return buf

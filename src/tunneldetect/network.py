@@ -14,8 +14,8 @@ the convolution fold into one table: embedding[x] @ conv_w[j] equals
 (embedding @ conv_w[j])[x]. The forward pass builds the (ks, vocab, nf)
 table once per batch and sums, for each window, one table row per
 kernel tap. Backward sums the conv gradient into the same table shape
-(one one-hot GEMM over the packed windows) and maps it back to the
-embedding and kernel gradients with vocab-row products.
+(one one-hot GEMM per tap over the packed windows) and maps it back to
+the embedding and kernel gradients with vocab-row products.
 
 Names are right-padded with PAD, and a window that starts past a row's
 last non-PAD symbol reads only PAD, so all such windows share one
@@ -32,7 +32,9 @@ dense1_w holds almost all the weights (11.0 M of 11.4 M at the
 reference configuration). backward_batch forms its gradient one
 cache-sized block at a time and can hand each block to a consumer that
 updates dense1_w in place (training's Adam step), so a training step
-never holds the whole dense1_w gradient.
+never holds the whole dense1_w gradient. It also overwrites the packed
+conv activations with their gradient, so a step holds one array of
+that size, not two.
 """
 
 from __future__ import annotations
@@ -201,7 +203,9 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     position k on then adds suffix[k], the sum over p >= k of the
     all-PAD window's product with W1[p]. Activations take the dtype of
     the weights. Cached arrays are in sorted-row or packed order;
-    probabilities come back in input order, as float64.
+    probabilities come back in input order, as float64. The cache is
+    backward_batch's to consume: it overwrites cache["ac"] with the
+    gradient of the conv output.
     """
     xb = np.atleast_2d(np.asarray(x_batch))
     if xb.shape[-1] != hp.l:
@@ -278,6 +282,10 @@ def backward_batch(
     come after the GEMM that reads its rows of dense1_w. With a
     consumer, the returned dense1_w gradient is None; without one, the
     blocks are gathered into the full gradient.
+
+    The forward cache is consumed: each position's block of the packed
+    conv activations is overwritten with its gradient once the dense1
+    GEMMs have read it, so the largest array of a step exists once.
     """
     xb = np.atleast_2d(np.asarray(x_batch))
     yb = np.asarray(y_batch, dtype=np.float64).reshape(-1)
@@ -309,16 +317,18 @@ def backward_batch(
     # Position p's GEMMs take its k live rows of dz1, then, in the all-PAD
     # window's slot k, the sum of dz1 over the rows dead at p, written into
     # dz1 in place. Counts never grow with p, so no later position reads a
-    # row that slot overwrote.
+    # row that slot overwrote. Each position's conv gradient goes to
+    # `scratch` while its dense1 GEMMs still read the activations, then
+    # over those activations, so after the loop `ac` holds dL/dconv-out.
     dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
     w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
-    dzc = np.empty_like(ac)
+    scratch = np.empty((batch + 1, hp.nf))
     buf = np.empty((max(1, CACHE_BLOCK // hp.hn), hp.hn))
     filled = offset = 0  # rows of buf in use; flat offset of buf[0]
     for p, (lo, k, m) in enumerate(cache["blocks"]):
         if m > k:
             dz1[k] = dead_sum[k]
-        np.matmul(dz1[:m], w1[p].T, out=dzc[lo : lo + m])
+        np.matmul(dz1[:m], w1[p].T, out=scratch[:m])
         a = ac[lo : lo + m]
         r = 0
         while r < hp.nf:
@@ -330,23 +340,28 @@ def backward_batch(
                 dense1_update(offset, buf.reshape(-1))
                 offset += buf.size
                 filled = 0
+        np.multiply(scratch[:m], a > 0.0, out=a)
     if filled:
         dense1_update(offset, buf[:filled].reshape(-1))
-    dzc *= ac > 0.0
+    dzc = ac
 
     # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads
-    # symbol v: one GEMM of a (ks*vocab, windows) one-hot matrix with dzc.
-    # That is about vocab times the multiply-adds of a scatter-add, yet
-    # faster: at the reference config (128 desk names, 2,746 packed
+    # symbol v: one GEMM per tap of a (vocab, windows) one-hot matrix with
+    # dzc. That is about vocab times the multiply-adds of a scatter-add,
+    # yet faster: at the reference config (128 desk names, 2,746 packed
     # windows, 1 BLAS thread, numpy 2.4.6) 25 ms against 183 ms for
-    # np.add.at and for a sort + np.add.reduceat.
+    # np.add.at and for a sort + np.add.reduceat. One GEMM of all ks taps'
+    # one-hot rows is ~8 ms faster (BLAS packs dzc once, not ks times) but
+    # holds a one-hot matrix ks times larger (2.2 MB more train VmHWM).
     vocab = params.embedding.shape[0]
     cols = np.arange(dzc.shape[0])
-    onehot = np.zeros((hp.ks * vocab, dzc.shape[0]))
-    for j in range(hp.ks):
-        onehot[j * vocab + sym[j], cols] = 1.0
+    onehot = np.zeros((vocab, dzc.shape[0]))
     dtable = np.empty((hp.ks, vocab, hp.nf))
-    np.matmul(onehot, dzc, out=dtable.reshape(hp.ks * vocab, hp.nf))
+    for j in range(hp.ks):
+        if j:
+            onehot[sym[j - 1], cols] = 0.0
+        onehot[sym[j], cols] = 1.0
+        np.matmul(onehot, dzc, out=dtable[j])
     embedding = dtable[0] @ params.conv_w[0].T
     for j in range(1, hp.ks):
         embedding += dtable[j] @ params.conv_w[j].T

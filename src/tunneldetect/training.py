@@ -148,7 +148,9 @@ def train(
     """Train a fresh model with Adam on seeded, shuffled minibatches.
 
     Deterministic given (dataset order, hp, cfg.seed). `progress`,
-    if given, receives (epoch, mean epoch loss) after each epoch.
+    if given, receives (epoch, mean epoch loss) after each epoch. A step
+    whose loss is not finite raises ValueError naming its epoch and
+    step: the loss is clipped, so it is NaN only once the weights are.
     """
     if len({s.label for s in dataset}) < 2:
         raise ValueError("training requires samples from both classes")
@@ -163,9 +165,11 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, cfg.batch_size):
+        for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = perm[start : start + cfg.batch_size]
             grads, loss = backward_batch(params, hp, x[idx], y[idx], dense1_update=dense1_update)
+            if not math.isfinite(loss):
+                raise ValueError(f"training diverged: loss is {loss} at epoch {epoch}, step {step} (learning rate {cfg.lr})")
             adam_step(params, grads, state)
             total += loss * len(idx)
         if progress is not None:

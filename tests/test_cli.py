@@ -237,7 +237,7 @@ class TestTrain:
         rc = main(["train", "--corpus", str(toy_corpus_file), "--out", str(out),
                    "--hp", TOY_HP_FLAG, "--epochs", "2", "--lr", "1e300"])
         assert rc == 4
-        assert "holds a non-finite weight" in capsys.readouterr().err
+        assert "training diverged: loss is nan at epoch 2, step 1" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "m.bin.manifest.json").exists()
 

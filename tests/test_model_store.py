@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import struct
 import tracemalloc
 import zlib
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from tunneldetect.model_store import (
+    _FINITE_CHUNK,
     BadMagicError,
     ChecksumError,
     MAGIC,
@@ -200,6 +202,28 @@ class TestCorruption:
         with pytest.raises(ModelFormatError):
             load(path)
 
+    def test_file_cut_short_after_its_size_was_taken(self, saved_model, monkeypatch):
+        # the size load checks comes from fstat; a file cut short between
+        # that and the reads must still fail as truncation
+        _, _, path = saved_model
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((*fstat(fd)[:6], len(data), *fstat(fd)[7:])))
+        with pytest.raises(TruncatedModelError, match="ended before"):
+            load(path)
+
+    def test_pipe_is_refused_before_it_is_read(self, saved_model):
+        _, _, path = saved_model
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, path.read_bytes()[:4096])
+            with pytest.raises(ModelFormatError, match="not a regular file"):
+                load(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
     def test_every_single_bit_flip_is_a_format_error(self, tmp_path):
         params = init_params(ONES_HP, seed=1)
         path = tmp_path / "smallest.bin"
@@ -253,6 +277,33 @@ class TestCorruption:
         rewrite_with_checksum(path, body)
         with pytest.raises(ShapeMismatchError, match="imply"):
             load(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_checksum_is_compared_before_the_weights_range(saved_model, dtype):
+    _, hp, path = saved_model
+    store_weight(path, hp, "conv_w", np.nan)
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(ChecksumError):
+        load(path, dtype)
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float64, 1.1), (np.float32, 0.6)], ids=["float64", "float32"])
+def test_load_holds_the_weights_not_the_file_beside_them(tmp_path, dtype, bound):
+    hp = Hyperparams(nf=64, ks=4, sl=1, d=16, l=45, hn=256)  # 5.6 MB, almost all dense1_w
+    path = tmp_path / "model.bin"
+    save(init_params(hp, seed=3), hp, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        load(path, dtype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    staging = 0 if dtype == np.float64 else 8 * _FINITE_CHUNK
+    assert peak < bound * size + staging
 
 
 class TestFloat32Load:

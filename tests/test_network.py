@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,24 @@ class TestBackward:
         analytic, _ = backward_batch(params, hp, x, y)
         numeric = numeric_gradients(params, hp, x, y)
         assert gradient_relative_error(analytic, numeric) < 1e-4
+
+    def test_conv_gradient_overwrites_the_activations(self):
+        # nf far above the 45-symbol alphabet, so the packed conv
+        # activations dwarf every per-symbol table: a second array of
+        # their size (or a whole-array mask and one-hot) would exceed 1.5x
+        hp = Hyperparams(nf=512, ks=4, sl=1, d=8, l=45, hn=8)
+        params = init_params(hp, 1)
+        rng = np.random.default_rng(2)
+        x = _rows_of_lengths(hp, rng.integers(1, hp.l + 1, size=128), rng)
+        y = rng.integers(0, 2, size=128).astype(float)
+        windows = _forward_cached(params, hp, x)[1]["ac"].shape[0]
+        tracemalloc.start()
+        try:
+            backward_batch(params, hp, x, y, dense1_update=lambda offset, block: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * windows * hp.nf * 8
 
     def test_loss_matches_mean_bce(self, tiny_hp, tiny_model):
         x = encode_batch(["aaa.com", "zzz999.net"], tiny_hp.l)

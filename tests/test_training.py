@@ -294,6 +294,23 @@ class TestTrain:
         assert all(np.isfinite(l) for l in losses)
         assert losses[-1] < losses[0]
 
+    def test_divergence_stops_training_at_the_first_non_finite_step(self, monkeypatch):
+        # one step per epoch: step 1 of epoch 1 leaves weights near ±1e300,
+        # so the loss of epoch 2's step is NaN and epoch 3 must never start
+        steps = []
+
+        def counted_backward(*args, **kwargs):
+            steps.append(len(steps) + 1)
+            return backward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(training, "backward_batch", counted_backward)
+        epochs = []
+        cfg = TrainConfig(epochs=3, batch_size=256, seed=4, lr=1e300)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"diverged: loss is nan at epoch 2, step 1 "):
+            train(make_separable_corpus(100, seed=2), TOY_HP, cfg, progress=lambda e, loss: epochs.append(e))
+        assert epochs == [1]
+        assert steps == [1, 2]
+
     def test_single_class_rejected(self):
         corpus = [DomainSample("zz" * i, LABEL_TUNNELING, "iodine") for i in range(2, 12)]
         with pytest.raises(ValueError, match="both classes"):
