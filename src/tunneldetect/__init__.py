@@ -13,7 +13,6 @@ from .datagen import (
     build_corpus,
     desk_scale_spec,
     read_corpus,
-    split_train_test,
     write_corpus,
 )
 from .evaluation import (
@@ -38,5 +37,6 @@ from .training import (
     default_grid,
     grid_search,
     kfold_cross_validate,
+    stratified_folds,
     train,
 )

@@ -116,14 +116,11 @@ def _read_spec(path) -> datagen.CorpusSpec:
             raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise ValueError(f"expected a JSON object, got {raw!r}")
-            file_seed = raw.get("seed", 0)
-            if isinstance(file_seed, bool) or not isinstance(file_seed, int):
-                raise ValueError(f"seed must be an integer, got {file_seed!r}")
             return datagen.CorpusSpec(
                 tunneling_counts=raw["tunneling"],
                 normal_counts=raw["normal"],
                 apexes=raw.get("apexes", datagen.DEFAULT_APEXES),
-                seed=file_seed,
+                seed=raw.get("seed", 0),
             )
         except KeyError as exc:
             raise ValueError(f"corpus spec {path} lacks the key {exc}") from None

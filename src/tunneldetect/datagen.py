@@ -1,7 +1,8 @@
 """Synthetic corpus generation: tunneling-domain emulators for the common
 DNS tunneling tools, normal domains from bundled feed files and a cz-like
-synthesizer, and balanced corpus assembly with a stratified train/test
-split.
+synthesizer, balanced corpus assembly, and the corpus CSV format. Every
+sample's name passes the hostname check classify applies to the names
+it scores; held-out splits are folds of training.stratified_folds.
 
 The tunneling generators are lexical emulators only: they reproduce the
 query-name encodings the tools emit (base32, hex, base64url payload labels
@@ -20,7 +21,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .hostnames import MAX_LABEL_LEN, has_valid_lengths, is_plausible_hostname, strip_trailing_dot
+from .hostnames import MAX_LABEL_LEN, is_plausible_hostname
+from .logparse import parse_line
 
 LABEL_NORMAL = "normal"
 LABEL_TUNNELING = "tunneling"
@@ -82,8 +84,8 @@ class DomainSample:
             raise ValueError(f"normal sample cannot carry tool tag {self.tool!r}")
         if self.label == LABEL_TUNNELING and self.tool == TOOL_NONE:
             raise ValueError("tunneling sample requires a tool tag")
-        if not has_valid_lengths(self.name):
-            raise ValueError(f"bad domain name or label length: {self.name!r}")
+        if not is_plausible_hostname(self.name):
+            raise ValueError(f"{self.name!r} is not a plausible hostname")
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,8 @@ class CorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for group in (self.tunneling_counts, self.normal_counts):
             if not isinstance(group, Mapping):
                 raise ValueError(f"counts must map names to integers, got {group!r}")
@@ -134,14 +138,12 @@ def scale_counts(weights: Mapping[str, int], total: int) -> dict[str, int]:
     return counts
 
 
-def desk_scale_spec(seed: int = 0, per_class: int = 2000,
-                    apexes: tuple[str, ...] = DEFAULT_APEXES) -> CorpusSpec:
+def desk_scale_spec(seed: int = 0, per_class: int = 2000) -> CorpusSpec:
     """Balanced desk-scale corpus: `per_class` samples per class, category
     counts proportional to the reference distribution."""
     return CorpusSpec(
         tunneling_counts=scale_counts(TUNNELING_WEIGHTS, per_class),
         normal_counts=scale_counts(NORMAL_WEIGHTS, per_class),
-        apexes=apexes,
         seed=seed,
     )
 
@@ -253,7 +255,8 @@ def load_normal(path) -> tuple[list[str], int]:
     """Normal domains of a one-per-line feed file.
 
     Returns (names, skipped_line_count); lines starting with '#' are
-    comments, invalid hostnames are counted but never fatal.
+    comments, any other line is read as a `plain` log line, and the lines
+    parse_line skips are counted but never fatal.
     """
     names, skipped = [], 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -261,11 +264,11 @@ def load_normal(path) -> tuple[list[str], int]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            name = strip_trailing_dot(line)
-            if is_plausible_hostname(name):
-                names.append(name)
-            else:
+            name = parse_line("plain", line)
+            if name is None:
                 skipped += 1
+            else:
+                names.append(name)
     return names, skipped
 
 
@@ -317,26 +320,6 @@ def build_corpus(spec: CorpusSpec, normal_pools: Mapping[str, list[str]] | None 
 
     order = np.random.default_rng(_derive_seed(spec.seed, 0)).permutation(len(samples))
     return [samples[i] for i in order]
-
-
-def split_train_test(
-    corpus: list[DomainSample], train_fraction: float = 0.8, seed: int = 0
-) -> tuple[list[DomainSample], list[DomainSample]]:
-    """Stratified-by-label split; disjoint, union is the corpus."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    rng = np.random.default_rng(seed)
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for label in (LABEL_NORMAL, LABEL_TUNNELING):
-        idx = [i for i, s in enumerate(corpus) if s.label == label]
-        perm = rng.permutation(len(idx))
-        n_train = int(round(train_fraction * len(idx)))
-        train_idx.extend(idx[perm[i]] for i in range(n_train))
-        test_idx.extend(idx[perm[i]] for i in range(n_train, len(idx)))
-    rng.shuffle(train_idx)
-    rng.shuffle(test_idx)
-    return [corpus[i] for i in train_idx], [corpus[i] for i in test_idx]
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,8 @@ def train(
     if given, receives (epoch, mean epoch loss) after each epoch. A step
     whose loss is not finite raises ValueError naming its epoch and
     step: the loss is clipped, so it is NaN only once the weights are.
+    Steps run without numpy's overflow and invalid-value warnings, so
+    divergence reports only that error.
     """
     if len({s.label for s in dataset}) < 2:
         raise ValueError("training requires samples from both classes")
@@ -167,10 +169,11 @@ def train(
         total = 0.0
         for step, start in enumerate(range(0, n, cfg.batch_size), start=1):
             idx = perm[start : start + cfg.batch_size]
-            grads, loss = backward_batch(params, hp, x[idx], y[idx], dense1_update=dense1_update)
-            if not math.isfinite(loss):
-                raise ValueError(f"training diverged: loss is {loss} at epoch {epoch}, step {step} (learning rate {cfg.lr})")
-            adam_step(params, grads, state)
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads, loss = backward_batch(params, hp, x[idx], y[idx], dense1_update=dense1_update)
+                if not math.isfinite(loss):
+                    raise ValueError(f"training diverged: loss is {loss} at epoch {epoch}, step {step} (learning rate {cfg.lr})")
+                adam_step(params, grads, state)
             total += loss * len(idx)
         if progress is not None:
             progress(epoch, total / n)

@@ -132,13 +132,16 @@ def test_criterion_3_metrics_oracle():
 @pytest.fixture(scope="module")
 def desk_model(tmp_path_factory):
     """Criterion 4's model: the reference configuration trained 10 epochs
-    on a desk-scale corpus. Returns the held-out samples, the model file
-    and the seconds spent building the corpus and training."""
+    on four of five stratified folds of a desk-scale corpus. Returns the
+    held-out fold's samples, the model file and the seconds spent
+    building the corpus and training."""
     start = time.time()
     spec = datagen.desk_scale_spec(seed=2026, per_class=2000)
     corpus = datagen.build_corpus(spec)
     assert len(corpus) == 4000
-    train_set, test_set = datagen.split_train_test(corpus, 0.8, seed=2026)
+    held_out = set(stratified_folds([s.label for s in corpus], 5, seed=2026)[0])
+    train_set = [s for i, s in enumerate(corpus) if i not in held_out]
+    test_set = [corpus[i] for i in sorted(held_out)]
     assert len(train_set) == 3200 and len(test_set) == 800
 
     cfg = TrainConfig(epochs=10, batch_size=128, seed=2026)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,8 @@ class TestGenerateData:
         {"tunneling": {"iodine": True}, "normal": {}},
         {"tunneling": {"iodine": 5}, "normal": {}, "apexes": "ab.com"},
         {"tunneling": {"iodine": 5}, "normal": {}, "seed": 2.7},
+        {"tunneling": {"iodine": 5}, "normal": {}, "seed": "7"},
+        {"tunneling": {"iodine": 5}, "normal": {}, "seed": True},
         {"tunneling": {"iodine": 5}},
         {"tunneling": {"iodine": 5}, "normal": {}, "apexes": ["bad apex!"]},
         {"tunneling": {"iodine": 5}, "normal": {}, "apexes": ["ok.example", "x y"]},
@@ -118,7 +121,7 @@ class TestGenerateData:
         {"tunneling": {"iodine": 5}, "normal": {}, "apexes": ["evil.com."]},
         {"tunneling": {"iodine": 5}, "normal": {}, "apexes": ["ex\u212aample.com"]},
     ], ids=["counts-not-object", "top-level-list", "string-count", "float-count",
-            "bool-count", "apexes-string", "float-seed", "missing-normal",
+            "bool-count", "apexes-string", "float-seed", "string-seed", "bool-seed", "missing-normal",
             "apex-bad-chars", "apex-blank", "apex-empty", "apex-trailing-dot", "apex-kelvin-sign"])
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, body):
         spec = tmp_path / "spec.json"
@@ -217,6 +220,16 @@ class TestTrain:
         rc = main(["train", "--corpus", str(bad), "--out", str(tmp_path / "m.bin")])
         assert rc == 4
 
+    def test_implausible_corpus_name_is_data_error(self, tmp_path, toy_corpus_file, capsys):
+        rows = toy_corpus_file.read_text().count("\n")
+        with open(toy_corpus_file, "a", encoding="utf-8") as fh:
+            fh.write("a b.com,normal,none,synthetic\n")
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--corpus", str(toy_corpus_file), "--out", str(out), "--hp", TOY_HP_FLAG])
+        assert rc == 4
+        assert f"{toy_corpus_file}:{rows + 1}: 'a b.com' is not a plausible hostname" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--corpus", "x.csv"])
@@ -231,7 +244,6 @@ class TestTrain:
         assert not out.exists()
         assert not (tmp_path / "m.bin.manifest.json").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_weights_are_not_saved(self, tmp_path, toy_corpus_file, capsys):
         out = tmp_path / "m.bin"
         rc = main(["train", "--corpus", str(toy_corpus_file), "--out", str(out),
@@ -240,6 +252,18 @@ class TestTrain:
         assert "training diverged: loss is nan at epoch 2, step 1" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "m.bin.manifest.json").exists()
+
+    def test_divergence_prints_only_its_error(self, tmp_path, toy_corpus_file, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--corpus", str(toy_corpus_file), "--out", str(tmp_path / "m.bin"),
+                       "--hp", TOY_HP_FLAG, "--epochs", "3", "--lr", "1e300"])
+        assert rc == 4
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("epoch   1/3  mean loss ")
+        assert err[1] == "error: training diverged: loss is nan at epoch 2, step 1 (learning rate 1e+300)"
 
 
 class TestEvaluate:

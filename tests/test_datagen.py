@@ -17,11 +17,11 @@ from tunneldetect.datagen import (
     load_normal,
     read_corpus,
     scale_counts,
-    split_train_test,
     tunneling_samples,
     write_corpus,
 )
 from tunneldetect.hostnames import is_plausible_hostname
+from tunneldetect.logparse import parse_line
 
 APEX = "evil.example"
 
@@ -51,6 +51,18 @@ class TestDomainSample:
             DomainSample("x" * 64 + ".com", LABEL_NORMAL)
         with pytest.raises(ValueError):
             DomainSample(("a" * 50 + ".") * 6 + "com", LABEL_NORMAL)
+
+
+class TestCorpusSpec:
+    @pytest.mark.parametrize("seed", [1.5, "1", True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            CorpusSpec(tunneling_counts={}, normal_counts={}, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            desk_scale_spec(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert build_corpus(desk_scale_spec(seed=np.int64(3), per_class=5)) == build_corpus(desk_scale_spec(seed=3, per_class=5))
 
 
 class TestScaleCounts:
@@ -215,6 +227,16 @@ class TestLoadNormal:
         with pytest.raises(OSError):
             load_normal(tmp_path / "nope.txt")
 
+    def test_agrees_with_plain_log_parsing(self, tmp_path):
+        lines = ["# feed", "", "example.com", "ok.org.", "  spaced.net.  ", "a b.com", "\u00e4.com",
+                 "x" * 64 + ".com", "a..b", "..", "   ", "#not.a.name", "UPPER.Case.COM", "tail.dot.."]
+        p = tmp_path / "feed.txt"
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        read = [line for line in lines if line.strip() and not line.strip().startswith("#")]
+        parsed = [parse_line("plain", line) for line in read]
+        assert load_normal(p) == ([n for n in parsed if n is not None], parsed.count(None))
+        assert parsed == ["example.com", "ok.org", "spaced.net", None, None, None, None, None, "UPPER.Case.COM", None]
+
 
 class TestBundledFeeds:
     def test_pools_large_enough_for_full_scale(self):
@@ -295,35 +317,6 @@ class TestBuildCorpus:
             build_corpus(spec, {})
 
 
-class TestSplitTrainTest:
-    def _balanced_corpus(self, n=100):
-        return build_corpus(desk_scale_spec(seed=6, per_class=n // 2))
-
-    def test_eighty_twenty_per_class(self):
-        corpus = self._balanced_corpus(100)
-        train, test = split_train_test(corpus, 0.8, seed=7)
-        assert len(train) == 80 and len(test) == 20
-        for part, want in ((train, 40), (test, 10)):
-            assert sum(1 for s in part if s.label == LABEL_NORMAL) == want
-            assert sum(1 for s in part if s.label == LABEL_TUNNELING) == want
-
-    def test_disjoint_union(self):
-        corpus = self._balanced_corpus(100)
-        train, test = split_train_test(corpus, 0.8, seed=8)
-        train_names = {s.name for s in train}
-        test_names = {s.name for s in test}
-        assert not train_names & test_names
-        assert sorted(s.name for s in train + test) == sorted(s.name for s in corpus)
-
-    def test_deterministic(self):
-        corpus = self._balanced_corpus(60)
-        assert split_train_test(corpus, 0.8, seed=9) == split_train_test(corpus, 0.8, seed=9)
-
-    def test_bad_fraction_rejected(self):
-        with pytest.raises(ValueError):
-            split_train_test(self._balanced_corpus(20), 1.0, seed=0)
-
-
 class TestCorpusCsv:
     def test_roundtrip(self, tmp_path):
         corpus = build_corpus(desk_scale_spec(seed=10, per_class=50))
@@ -341,6 +334,12 @@ class TestCorpusCsv:
         path = tmp_path / "corpus.csv"
         path.write_text("name,label,tool,origin\nfoo.com,normal,none,alexa-like\nbar.com,bogus,none,x\n")
         with pytest.raises(ValueError, match=":3"):
+            read_corpus(path)
+
+    def test_implausible_name_reports_line(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("name,label,tool,origin\na b.com,normal,none,synthetic\n")
+        with pytest.raises(ValueError, match=r"corpus\.csv:2: 'a b\.com' is not a plausible hostname"):
             read_corpus(path)
 
     def test_tool_case_normalized(self, tmp_path):

@@ -4,13 +4,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tunneldetect import model_store
-from tunneldetect.datagen import CSV_HEADER, read_corpus
+from tunneldetect.datagen import CSV_HEADER, LABEL_NORMAL, DomainSample, read_corpus
 from tunneldetect.evaluation import SCORE_CHUNK, score
-from tunneldetect.hostnames import is_plausible_hostname
+from tunneldetect.hostnames import MAX_LABEL_LEN, MAX_NAME_LEN, is_plausible_hostname
 from tunneldetect.logparse import FORMATS, parse_line
 from tunneldetect.network import Hyperparams, expected_shapes, forward_batch, init_params
 from tunneldetect.tokenizer import LITERALS, encode_batch, encoding_key
@@ -55,6 +55,64 @@ _log_text = st.one_of(
     ),
     st.builds("{}query: {} IN {}".format, st.text(max_size=8), _names, st.text(max_size=8)),
 )
+
+
+def _plausible(name: str) -> bool:
+    """The hostname rule written out: ASCII, every character in LITERALS
+    after lowercasing, 1..253 characters, every label 1..63."""
+    return (name.isascii() and all(c in LITERALS for c in name.lower())
+            and 1 <= len(name) <= MAX_NAME_LEN
+            and all(1 <= len(label) <= MAX_LABEL_LEN for label in name.split(".")))
+
+
+_label_chars = st.sampled_from(LITERALS.replace(".", "") + LITERALS.replace(".", "").upper())
+
+
+@st.composite
+def _names_near_the_length_limits(draw):
+    """Names of 248..258 characters whose labels are all 60..66
+    characters long, but the last, which takes what is left."""
+    label_len = draw(st.integers(MAX_LABEL_LEN - 3, MAX_LABEL_LEN + 3))
+    total = draw(st.integers(MAX_NAME_LEN - 5, MAX_NAME_LEN + 5))
+    chars = draw(st.text(_label_chars, min_size=total, max_size=total))
+    return "".join("." if i % (label_len + 1) == label_len else c for i, c in enumerate(chars))
+
+
+_hostname_candidates = st.one_of(
+    _names,
+    st.text(_label_chars, min_size=MAX_LABEL_LEN - 3, max_size=MAX_LABEL_LEN + 3),
+    st.text(_label_chars, min_size=MAX_LABEL_LEN - 3, max_size=MAX_LABEL_LEN + 3).map(lambda label: label + ".com"),
+    _names_near_the_length_limits(),
+)
+
+
+_EDGE_NAMES = ["", "a..b", "a.com.", ".a", "a" * 63, "a" * 64, "a b.com", "\u00e4.com", "ex\u212aample.com",
+               ".".join(["a" * 63] * 3 + ["a" * 61]), ".".join(["a" * 63] * 3 + ["a" * 62])]
+
+
+def _with_edge_names(test):
+    for name in _EDGE_NAMES:
+        test = example(name)(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None)
+@_with_edge_names
+@given(_hostname_candidates)
+def test_is_plausible_hostname_is_the_written_rule(name):
+    assert is_plausible_hostname(name) == _plausible(name)
+
+
+@settings(max_examples=200, deadline=None)
+@_with_edge_names
+@given(_hostname_candidates)
+def test_domain_sample_accepts_exactly_the_plausible_names(name):
+    try:
+        DomainSample(name, LABEL_NORMAL)
+    except ValueError:
+        assert not is_plausible_hostname(name)
+    else:
+        assert is_plausible_hostname(name)
 
 
 @settings(max_examples=300, deadline=None)

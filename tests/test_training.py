@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tunneldetect import network, training
-from tunneldetect.datagen import LABEL_TUNNELING, DomainSample
+from tunneldetect.datagen import LABEL_NORMAL, LABEL_TUNNELING, DomainSample, build_corpus, desk_scale_spec
 from tunneldetect.network import DEFAULT_HYPERPARAMS, Hyperparams, ModelParams, backward_batch, init_params
 from tunneldetect.tokenizer import PAD_IDX, encode_batch
 from tunneldetect.training import (
@@ -346,6 +346,21 @@ class TestStratifiedFolds:
                 got_b = len(fold) - got_a
                 assert abs(got_a - n_a / k) < 1.0 + 1e-9
                 assert abs(got_b - n_b / k) < 1.0 + 1e-9
+
+    @staticmethod
+    def _balanced_labels(n=100):
+        return [s.label for s in build_corpus(desk_scale_spec(seed=6, per_class=n // 2))]
+
+    def test_fold_zero_of_five_holds_out_twenty_percent_per_class(self):
+        labels = self._balanced_labels()
+        held_out = stratified_folds(labels, 5, seed=7)[0]
+        assert len(held_out) == 20
+        for label in (LABEL_NORMAL, LABEL_TUNNELING):
+            assert sum(1 for i in held_out if labels[i] == label) == 10
+
+    def test_deterministic(self):
+        labels = self._balanced_labels()
+        assert stratified_folds(labels, 5, seed=9) == stratified_folds(labels, 5, seed=9)
 
     def test_k_larger_than_dataset_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
