@@ -358,6 +358,14 @@ class TestStratifiedFolds:
         for label in (LABEL_NORMAL, LABEL_TUNNELING):
             assert sum(1 for i in held_out if labels[i] == label) == 10
 
+    def test_disjoint_union(self):
+        corpus = build_corpus(desk_scale_spec(seed=6, per_class=50))
+        held_out = set(stratified_folds([s.label for s in corpus], 5, seed=8)[0])
+        train_names = {s.name for i, s in enumerate(corpus) if i not in held_out}
+        test_names = {corpus[i].name for i in held_out}
+        assert not train_names & test_names
+        assert sorted(train_names | test_names) == sorted(s.name for s in corpus)
+
     def test_deterministic(self):
         labels = self._balanced_labels()
         assert stratified_folds(labels, 5, seed=9) == stratified_folds(labels, 5, seed=9)
