@@ -14,7 +14,8 @@ recording the resolved flags, seeds and input/output checksums, enough
 to reproduce the run bit for bit with the same numpy, BLAS library and
 BLAS thread count, which the manifest records too.
 
-Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data/format problem.
+Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data/format problem
+(an input that asks for more memory than numpy can allocate included).
 """
 
 from __future__ import annotations
@@ -258,7 +259,12 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params, hp, _vocab = model_store.load(args.model)
+    """Print the metrics report of the model on the labeled corpus, and
+    write the JSON report and the scatter CSV when asked. The model is
+    loaded as float32, as classify loads it, so the metrics are those of
+    the verdicts classify prints for the same names, up to the batch
+    bound evaluation.score states for float32."""
+    params, hp, _vocab = model_store.load(args.model, np.float32)
     corpus = _load_labeled_corpus(args.corpus)
     probabilities = evaluation.predict_samples(params, hp, corpus)
     report = evaluation.compute_metrics(corpus, probabilities, args.threshold)
@@ -347,7 +353,8 @@ def cmd_classify(args) -> int:
     can lag the input by up to SCORE_CHUNK fresh names or NAME_CACHE_SIZE
     lines; the end of the input flushes the last batch. Then write the
     counts to stderr. The model is loaded as float32: classify only
-    runs the forward pass, which needs half the memory traffic then."""
+    runs the forward pass, which needs half the memory traffic then, and
+    evaluate scores with the same weights."""
     apexes = [normalize_name(apex) for apex in args.apex or []]
     for apex, normalized in zip(args.apex or [], apexes):
         if not is_plausible_hostname(normalized):
@@ -444,6 +451,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # numpy refuses an allocation beyond what the machine can map,
+        # as for a hyperparameter set far larger than any model
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (model_store.ModelFormatError, ValueError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -101,6 +101,8 @@ class CorpusSpec:
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for group in (self.tunneling_counts, self.normal_counts):
             if not isinstance(group, Mapping):
                 raise ValueError(f"counts must map names to integers, got {group!r}")
@@ -149,9 +151,9 @@ def desk_scale_spec(seed: int = 0, per_class: int = 2000) -> CorpusSpec:
 
 
 def _derive_seed(seed: int, *stream) -> int:
-    """Stable child seed for an independent generator stream."""
-    entropy = [int(seed) & 0xFFFFFFFF] + [s & 0xFFFFFFFF for s in stream]
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    """Stable child seed for an independent generator stream. The seed
+    enters whole, so seeds that differ in any bit give other streams."""
+    return int(np.random.SeedSequence([int(seed), *stream]).generate_state(1)[0])
 
 
 def _split_labels(payload: str) -> list[str]:

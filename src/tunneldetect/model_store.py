@@ -15,8 +15,8 @@ version stands for the fixed alphabet (tokenizer.LITERALS), the field
 order and this layout; changing any of them means a new version.
 Weights are stored as raw 64-bit floats so save/load round-trips are
 bitwise exact at float64; load can also convert them to another dtype
-(classify loads float32). Every corruption class raises its own error
-type.
+(evaluate and classify load float32). Every corruption class raises its
+own error type.
 """
 
 from __future__ import annotations

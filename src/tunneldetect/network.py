@@ -5,8 +5,8 @@ ReLU -> flatten (position-major, filter-minor) -> dense ReLU -> dense
 sigmoid, trained against binary cross-entropy. Training is plain
 numpy in float64 so the analytic gradients can be checked tightly
 against finite differences. The forward pass works in the dtype of the
-weights, so float32 weights (as classify loads them) give a float32
-forward; the logit is cast to float64 before the sigmoid, and
+weights, so float32 weights (as evaluate and classify load them) give a
+float32 forward; the logit is cast to float64 before the sigmoid, and
 probabilities are always float64.
 
 The input is a sequence of symbol indices, so the embedding lookup and

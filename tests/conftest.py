@@ -27,8 +27,8 @@ def tiny_model(tiny_hp):
 
 
 def loaded_float32(params, hp, path):
-    """`params` saved to `path` and loaded back as float32, as classify
-    loads a model."""
+    """`params` saved to `path` and loaded back as float32, as evaluate
+    and classify load a model."""
     model_store.save(params, hp, path)
     return model_store.load(path, np.float32)[0]
 

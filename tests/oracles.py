@@ -190,3 +190,11 @@ def recount_metrics(truths, verdicts, positive):
     fpr = fp / (fp + tn) if fp + tn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, fpr, f1, tp + fn
+
+
+def derive_seed_32(seed, *stream):
+    """The corpus seed rule before seeds kept all their bits: the seed and
+    each stream number cut to their low 32 bits, then one SeedSequence
+    word. Every corpus of a seed below 2**32 was built with it."""
+    entropy = [int(seed) & 0xFFFFFFFF] + [s & 0xFFFFFFFF for s in stream]
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])

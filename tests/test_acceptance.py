@@ -54,7 +54,8 @@ from oracles import (
     relu_kink_clearance,
 )
 
-# How far classify's float32 probabilities may lie from float64 scoring:
+# How far evaluate's and classify's float32 probabilities may lie from
+# float64 scoring:
 # perfbench's PROB_TOL for classify output
 FLOAT32_PROB_TOL = 1e-4
 
@@ -169,8 +170,9 @@ def test_criterion_4_desk_scale_training_target(desk_model):
 
 @pytest.mark.slow
 def test_float32_scoring_matches_float64_on_desk_model(desk_model):
-    # classify scores with the weights loaded as float32; every other
-    # path, and every metric above, is float64
+    # evaluate and classify score with the weights loaded as float32, so
+    # this bound also guards the metrics evaluate reports; training,
+    # k-fold CV and criterion 4 above stay float64
     test_set, path, _ = desk_model
     names = [s.name for s in test_set]
     p64 = score(load(path)[0], DEFAULT_HYPERPARAMS, names)

@@ -16,11 +16,14 @@ from tunneldetect.model_store import load, save
 from tunneldetect.tokenizer import encoding_key
 from tunneldetect.training import TrainConfig, kfold_cross_validate
 
-from conftest import make_separable_corpus
+from conftest import loaded_float32, make_separable_corpus
+from oracles import derive_seed_32
 from test_evaluation import SCORE_BATCH_BOUND_F32
 from test_model_store import store_weight, with_version
 
 TOY_HP_FLAG = "nf=8 ks=3 sl=1 d=8 l=10 hn=8"
+# a valid hyperparameter set whose weights numpy cannot allocate
+HUGE_HP_FLAG = "nf=1000000000 ks=4 sl=1 d=100 l=45 hn=256"
 
 
 def assert_float32_scores(out, model_file, qnames, threshold=0.5):
@@ -193,6 +196,23 @@ class TestGenerateData:
         args = json.loads((tmp_path / "corpus.csv.manifest.json").read_text())["args"]
         assert args["apexes"] == ["other.example"] and args["seed"] == 2 and args["per_class"] is None
 
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "corpus.csv"
+        assert main(["generate-data", "--out", str(out), "--per-class", "10", "--seed", "-1"]) == 4
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not out.exists()
+        assert not (tmp_path / "corpus.csv.manifest.json").exists()
+
+    def test_full_seed_5_is_the_corpus_of_the_32_bit_seed_rule(self, tmp_path, monkeypatch):
+        # seeds below 2**32 build the corpora they built when the seed
+        # was cut to its low 32 bits
+        out = tmp_path / "corpus.csv"
+        assert main(["generate-data", "--out", str(out), "--full", "--seed", "5"]) == 0
+        monkeypatch.setattr(datagen, "_derive_seed", derive_seed_32)
+        want = tmp_path / "want.csv"
+        datagen.write_corpus(datagen.build_corpus(datagen.desk_scale_spec(seed=5, per_class=datagen.FULL_PER_CLASS)), want)
+        assert out.read_bytes() == want.read_bytes()
+
     def test_bad_feed_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["generate-data", "--out", str(tmp_path / "c.csv"), "--normal-feed", "nope"])
@@ -253,6 +273,16 @@ class TestTrain:
         assert not out.exists()
         assert not (tmp_path / "m.bin.manifest.json").exists()
 
+    def test_unallocatable_hyperparameters_are_data_error(self, tmp_path, toy_corpus_file, capsys):
+        # numpy refuses the 2.91 TiB conv_w at once, so nothing is allocated
+        out = tmp_path / "m.bin"
+        rc = main(["train", "--corpus", str(toy_corpus_file), "--out", str(out), "--hp", HUGE_HP_FLAG])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: not enough memory: "), err
+        assert not out.exists()
+        assert not (tmp_path / "m.bin.manifest.json").exists()
+
     def test_divergence_prints_only_its_error(self, tmp_path, toy_corpus_file, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -282,6 +312,22 @@ class TestEvaluate:
         assert "tunneling" in out
         assert scatter_path.read_text().count("\n") == 1 + 60
 
+    @pytest.mark.parametrize("per_class", [None, evaluation.SCORE_CHUNK + 19], ids=["toy", "beyond-one-chunk"])
+    def test_scatter_is_float32_scoring(self, tmp_path, toy_corpus_file, toy_model_file, per_class):
+        corpus_file = toy_corpus_file
+        if per_class is not None:
+            corpus_file = tmp_path / "desk.csv"
+            datagen.write_corpus(datagen.build_corpus(datagen.desk_scale_spec(seed=4, per_class=per_class)), corpus_file)
+        corpus = datagen.read_corpus(corpus_file)
+        scatter = tmp_path / "scatter.csv"
+        assert main(["evaluate", "--model", str(toy_model_file), "--corpus", str(corpus_file),
+                     "--scatter", str(scatter)]) == 0
+        params, hp, _vocab = load(toy_model_file)
+        want = tmp_path / "want.csv"
+        evaluation.export_scatter(
+            corpus, evaluation.score(loaded_float32(params, hp, tmp_path / "copy.bin"), hp, [s.name for s in corpus]), want)
+        assert scatter.read_bytes() == want.read_bytes()
+
     def test_corrupt_model_is_data_error(self, tmp_path, toy_corpus_file, toy_model_file):
         data = bytearray(toy_model_file.read_bytes())
         data[-1] ^= 0xFF
@@ -309,6 +355,35 @@ class TestEvaluate:
             main(["evaluate", "--model", str(toy_model_file),
                   "--corpus", str(toy_corpus_file), "--threshold", "1.5"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.9])
+def test_evaluate_and_classify_give_equal_verdicts(tmp_path, toy_model_file, capsys, monkeypatch, threshold):
+    # Both score with the weights loaded as float32. classify reads the
+    # names in reverse, so each name shares its forward batch with other
+    # rows than in evaluate: verdicts agree but within 1e-6 of the
+    # threshold, and probabilities within the printed rounding plus the
+    # float32 batch bound.
+    corpus_file, scatter = tmp_path / "desk.csv", tmp_path / "scatter.csv"
+    spec = datagen.desk_scale_spec(seed=6, per_class=evaluation.SCORE_CHUNK + 19)
+    datagen.write_corpus(datagen.build_corpus(spec), corpus_file)
+    assert main(["evaluate", "--model", str(toy_model_file), "--corpus", str(corpus_file),
+                 "--threshold", str(threshold), "--scatter", str(scatter)]) == 0
+    rows = [row.split(",") for row in scatter.read_text().splitlines()[1:]]
+    names = [name for name, _, _, _ in rows]
+    evaluated = np.array([float(p) for _, _, _, p in rows])
+    assert len({encoding_key(n, load(toy_model_file)[1].l) for n in names}) > evaluation.SCORE_CHUNK
+    capsys.readouterr()
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("".join(name + "\n" for name in reversed(names))))
+    assert main(["classify", "--model", str(toy_model_file), "--threshold", str(threshold)]) == 0
+    lines = [line.split("\t") for line in reversed(capsys.readouterr().out.splitlines())]
+    assert [name for name, _, _ in lines] == names
+    classified = np.array([float(p) for _, p, _ in lines])
+    assert np.abs(classified - evaluated).max() <= 0.5e-6 + SCORE_BATCH_BOUND_F32
+    verdicts = np.array([verdict == datagen.LABEL_TUNNELING for _, _, verdict in lines])
+    clear = np.abs(evaluated - threshold) > 1e-6
+    np.testing.assert_array_equal(verdicts[clear], evaluation.is_tunneling(evaluated, threshold)[clear])
 
 
 class TestClassify:
@@ -571,6 +646,20 @@ class TestGridSearch:
         assert rc == 0
         manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
         assert manifest["args"]["lr"] == 0.01
+
+    def test_unallocatable_grid_line_is_data_error(self, tmp_path, toy_corpus_file, capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(TOY_HP_FLAG + "\n" + HUGE_HP_FLAG + "\n")
+        report_path = tmp_path / "grid.json"
+        rc = main(["grid-search", "--corpus", str(toy_corpus_file), "--grid", str(grid),
+                   "--folds", "2", "--epochs", "1", "--report", str(report_path)])
+        assert rc == 4
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: not enough memory: "), err
+        assert captured.out == ""
+        assert not report_path.exists()
+        assert not (tmp_path / "grid.json.manifest.json").exists()
 
     @pytest.mark.parametrize("lr", ["nan", "-0.5"])
     def test_bad_learning_rate_is_data_error(self, tmp_path, toy_corpus_file, lr):

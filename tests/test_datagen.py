@@ -23,6 +23,8 @@ from tunneldetect.datagen import (
 from tunneldetect.hostnames import is_plausible_hostname
 from tunneldetect.logparse import parse_line
 
+from oracles import derive_seed_32
+
 APEX = "evil.example"
 
 
@@ -63,6 +65,22 @@ class TestCorpusSpec:
 
     def test_numpy_integer_seed_accepted(self):
         assert build_corpus(desk_scale_spec(seed=np.int64(3), per_class=5)) == build_corpus(desk_scale_spec(seed=3, per_class=5))
+
+    @pytest.mark.parametrize("seed", [-1, -(2**32), np.int64(-5)])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            CorpusSpec(tunneling_counts={}, normal_counts={}, seed=seed)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            desk_scale_spec(seed=seed)
+
+    @pytest.mark.parametrize("low", [0, 1, 2**32 - 1])
+    def test_seeds_keep_all_their_bits(self, low):
+        assert build_corpus(desk_scale_spec(seed=low, per_class=5)) != build_corpus(desk_scale_spec(seed=low + 2**32, per_class=5))
+
+    @pytest.mark.parametrize("seed", [0, 5, 7, 2**31, 2**32 - 1])
+    def test_seeds_below_two_to_the_32_derive_as_when_cut_to_32_bits(self, seed):
+        for stream in range(40):
+            assert datagen._derive_seed(seed, stream) == derive_seed_32(seed, stream)
 
 
 class TestScaleCounts:
