@@ -28,12 +28,12 @@ from .network import (
     DEFAULT_HYPERPARAMS,
     Hyperparams,
     ModelParams,
+    count_parameters,
     init_params,
 )
 from .tokenizer import Vocabulary, encode_batch
 from .training import (
     TrainConfig,
-    count_parameters,
     default_grid,
     grid_search,
     kfold_cross_validate,

@@ -79,9 +79,13 @@ def _write_manifest(out_path, subcommand: str, args: dict, inputs: list, outputs
     }
     if metrics is not None:
         manifest["metrics"] = metrics
-    path = str(out_path) + ".manifest.json"
+    _write_json(str(out_path) + ".manifest.json", manifest)
+
+
+def _write_json(path, obj) -> None:
+    """Every JSON file the CLI writes: indent 2, sorted keys, newline-terminated."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -239,9 +243,7 @@ def cmd_grid_search(args) -> int:
         hp_text = " ".join(f"{k}={v}" for k, v in row["hp"].items())
         print(f"{r.mean_f1:>8.4f} {r.sd_f1:>8.4f} {r.parameter_count:>12,d}  {hp_text}")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.report, rows)
         _write_manifest(
             args.report,
             "grid-search",
@@ -269,15 +271,14 @@ def cmd_evaluate(args) -> int:
     probabilities = evaluation.predict_samples(params, hp, corpus)
     report = evaluation.compute_metrics(corpus, probabilities, args.threshold)
     print(evaluation.format_report(report))
+    metrics = evaluation.report_to_dict(report)
 
     outputs = []
     if args.scatter:
         evaluation.export_scatter(corpus, probabilities, args.scatter)
         outputs.append(args.scatter)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(evaluation.report_to_dict(report), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.report, metrics)
         outputs.append(args.report)
     if outputs:
         _write_manifest(
@@ -290,7 +291,7 @@ def cmd_evaluate(args) -> int:
             },
             inputs=[args.model, args.corpus],
             outputs=outputs,
-            metrics=evaluation.report_to_dict(report),
+            metrics=metrics,
         )
     return EXIT_OK
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import base64
 import csv
 import importlib.resources
+import io
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -338,40 +339,35 @@ def write_corpus(samples: Iterable[DomainSample], path) -> None:
             writer.writerow([s.name, s.label, s.tool, s.origin])
 
 
-def _undecodable_line(path) -> int | None:
-    """Line number of the first byte of `path` that is not valid UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return data.count(b"\n", 0, exc.start) + 1
-    return None
-
-
 def read_corpus(path) -> list[DomainSample]:
     """Samples of a corpus CSV. Any malformed content (invalid UTF-8, a
     CSV syntax error, a bad header or row) raises ValueError naming the
-    file, and the line for everything but the header."""
+    file, and the line for everything but the header. The file is read
+    and decoded whole before any row is parsed, so an invalid byte is
+    reported wherever it lies."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: invalid UTF-8: {exc.reason}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
     samples = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != CSV_HEADER:
-                raise ValueError(f"bad corpus header in {path}: {header!r}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 4:
-                    raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
-                name, label, tool, origin = (f.strip() for f in row)
-                try:
-                    samples.append(DomainSample(name, label.lower(), tool.lower(), origin.lower()))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise ValueError(f"bad corpus header in {path}: {header!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ValueError(f"{path}:{reader.line_num}: expected 4 fields, got {len(row)}")
+            name, label, tool, origin = (f.strip() for f in row)
+            try:
+                samples.append(DomainSample(name, label.lower(), tool.lower(), origin.lower()))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}:{_undecodable_line(path)}: invalid UTF-8: {exc.reason}") from None
     return samples

@@ -30,7 +30,7 @@ from dataclasses import astuple
 
 import numpy as np
 
-from .network import Hyperparams, ModelParams, expected_shapes
+from .network import Hyperparams, ModelParams, count_parameters, expected_shapes
 from .tokenizer import LITERALS, Vocabulary
 
 MAGIC = b"DNSTCNN\x01"
@@ -111,8 +111,10 @@ def load(path, dtype=np.float64) -> tuple[ModelParams, Hyperparams, Vocabulary]:
     Hostile bytes raise only ModelFormatError subclasses, checked in
     this order: the header, the file size the stored hyperparameters
     imply, the checksum, then the weights' range. The size is checked
-    before anything is allocated, so no allocation exceeds the file's
-    size and a header claiming an enormous model allocates nothing.
+    before any weight is allocated, so a header claiming an enormous
+    model allocates none; a file of the wrong size is passed through
+    the checksum one _FINITE_CHUNK-value piece at a time to tell a
+    ShapeMismatchError from a TruncatedModelError.
     Each block is then read straight into its array (through one
     _FINITE_CHUNK-value staging buffer when `dtype` is not the stored
     little-endian float64), with the checksum kept running, so the file
@@ -142,19 +144,20 @@ def load(path, dtype=np.float64) -> tuple[ModelParams, Hyperparams, Vocabulary]:
         except ValueError as exc:
             raise ShapeMismatchError(f"invalid stored hyperparameters: {exc}") from None
 
-        shapes = expected_shapes(hp)
-        size = _HEADER.size + 8 * sum(math.prod(shape) for shape in shapes.values()) + _CHECKSUM.size
+        size = _HEADER.size + 8 * count_parameters(hp) + _CHECKSUM.size
         crc = zlib.crc32(header)
         if file_size != size:
-            rest = memoryview(_read_exactly(fh, bytearray(file_size - _HEADER.size)))
-            if _CHECKSUM.unpack(rest[-_CHECKSUM.size :])[0] == zlib.crc32(rest[: -_CHECKSUM.size], crc):
+            chunk = bytearray(8 * _FINITE_CHUNK)
+            for left in range(file_size - _HEADER.size - _CHECKSUM.size, 0, -len(chunk)):
+                crc = zlib.crc32(_read_exactly(fh, memoryview(chunk)[:left]), crc)
+            if _CHECKSUM.unpack(_read_exactly(fh, bytearray(_CHECKSUM.size)))[0] == crc:
                 raise ShapeMismatchError(f"file has {file_size} bytes, its hyperparameters {hp} imply {size}")
             raise TruncatedModelError(f"file has {file_size} bytes, its header implies {size}")
 
         direct = np.dtype(dtype) == np.dtype("<f8")
         staging = None if direct else np.empty(_FINITE_CHUNK, "<f8")
         arrays, fault = {}, None
-        for name, shape in shapes.items():
+        for name, shape in expected_shapes(hp).items():
             flat = np.empty(math.prod(shape), dtype)
             for i in range(0, flat.size, _FINITE_CHUNK):
                 dest = flat[i : i + _FINITE_CHUNK]

@@ -39,6 +39,7 @@ that size, not two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -128,6 +129,11 @@ def expected_shapes(hp: Hyperparams) -> dict[str, tuple[int, ...]]:
         "dense2_w": (hp.hn,),
         "dense2_b": (1,),
     }
+
+
+def count_parameters(hp: Hyperparams) -> int:
+    """Total trainable scalars over every weight block."""
+    return sum(math.prod(shape) for shape in expected_shapes(hp).values())
 
 
 def init_params(hp: Hyperparams, seed: int) -> ModelParams:
@@ -322,7 +328,7 @@ def backward_batch(
     # over those activations, so after the loop `ac` holds dL/dconv-out.
     dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
     w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
-    scratch = np.empty((batch + 1, hp.nf))
+    scratch = np.empty((batch, hp.nf))
     buf = np.empty((max(1, CACHE_BLOCK // hp.hn), hp.hn))
     filled = offset = 0  # rows of buf in use; flat offset of buf[0]
     for p, (lo, k, m) in enumerate(cache["blocks"]):

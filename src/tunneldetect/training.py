@@ -18,7 +18,7 @@ import numpy as np
 
 from .datagen import LABEL_TUNNELING, DomainSample
 from .evaluation import compute_metrics, predict_samples
-from .network import CACHE_BLOCK, Hyperparams, ModelParams, backward_batch, expected_shapes, init_params
+from .network import CACHE_BLOCK, Hyperparams, ModelParams, backward_batch, count_parameters, init_params
 from .tokenizer import encode_batch
 
 # Adam's decay rates and denominator guard: the defaults of Kingma & Ba
@@ -26,11 +26,6 @@ from .tokenizer import encode_batch
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def count_parameters(hp: Hyperparams) -> int:
-    """Total trainable scalars over every weight block."""
-    return sum(math.prod(shape) for shape in expected_shapes(hp).values())
 
 
 @dataclass(frozen=True)
@@ -133,12 +128,6 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tupl
     return params, state
 
 
-def _encode_dataset(dataset: Sequence[DomainSample], hp: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
-    x = encode_batch([s.name for s in dataset], hp.l)
-    y = np.array([1.0 if s.label == LABEL_TUNNELING else 0.0 for s in dataset])
-    return x, y
-
-
 def train(
     dataset: Sequence[DomainSample],
     hp: Hyperparams,
@@ -156,7 +145,8 @@ def train(
     """
     if len({s.label for s in dataset}) < 2:
         raise ValueError("training requires samples from both classes")
-    x, y = _encode_dataset(dataset, hp)
+    x = encode_batch([s.name for s in dataset], hp.l)
+    y = np.array([1.0 if s.label == LABEL_TUNNELING else 0.0 for s in dataset])
 
     params = init_params(hp, cfg.seed)
     state = AdamState.fresh(params, cfg)
@@ -240,11 +230,7 @@ def grid_search(
     for hp in grid:
         mean_f1, sd_f1 = kfold_cross_validate(dataset, hp, cfg, k=k)
         results.append(GridResult(hp, mean_f1, sd_f1, count_parameters(hp)))
-    order = sorted(
-        range(len(results)),
-        key=lambda i: (-results[i].mean_f1, results[i].parameter_count, i),
-    )
-    return [results[i] for i in order]
+    return sorted(results, key=lambda r: (-r.mean_f1, r.parameter_count))
 
 
 def default_grid() -> list[Hyperparams]:

@@ -354,6 +354,20 @@ class TestCorpusCsv:
         with pytest.raises(ValueError, match=":3"):
             read_corpus(path)
 
+    def test_invalid_utf8_reports_line(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(b"name,label,tool,origin\nfoo.com,normal,none,alexa-like\nb\xffr.com,normal,none,alexa-like\n")
+        with pytest.raises(ValueError, match=r"corpus\.csv:3: invalid UTF-8"):
+            read_corpus(path)
+
+    def test_invalid_byte_is_reported_before_an_earlier_bad_row(self, tmp_path):
+        # the bad row on line 2 lies far more than one read buffer before the byte
+        path = tmp_path / "corpus.csv"
+        rows = b"foo.com,normal,none,alexa-like\n" * 10_000
+        path.write_bytes(b"name,label,tool,origin\nfoo.com,bogus,none,x\n" + rows + b"\xff\n")
+        with pytest.raises(ValueError, match=r"corpus\.csv:10003: invalid UTF-8"):
+            read_corpus(path)
+
     def test_implausible_name_reports_line(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("name,label,tool,origin\na b.com,normal,none,synthetic\n")

@@ -278,6 +278,29 @@ class TestCorruption:
         with pytest.raises(ShapeMismatchError, match="imply"):
             load(path)
 
+    @pytest.mark.parametrize("checksum, error", [("valid", ShapeMismatchError), ("failing", TruncatedModelError)])
+    def test_wrong_size_file_is_classified_in_bounded_memory(self, tmp_path, checksum, error):
+        # a smallest-model header followed by 50 MB more values than it implies
+        path = tmp_path / "model.bin"
+        save(init_params(ONES_HP, seed=1), ONES_HP, path)
+        body = path.read_bytes()[:-4]
+        crc = zlib.crc32(body)
+        zeros = bytes(1 << 20)
+        with open(path, "wb") as fh:
+            fh.write(body)
+            for _ in range(50):
+                fh.write(zeros)
+                crc = zlib.crc32(zeros, crc)
+            fh.write(struct.pack("<I", crc if checksum == "valid" else crc ^ 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_checksum_is_compared_before_the_weights_range(saved_model, dtype):

@@ -8,7 +8,7 @@ import pytest
 
 from tunneldetect import network, training
 from tunneldetect.datagen import LABEL_NORMAL, LABEL_TUNNELING, DomainSample, build_corpus, desk_scale_spec
-from tunneldetect.network import DEFAULT_HYPERPARAMS, Hyperparams, ModelParams, backward_batch, init_params
+from tunneldetect.network import DEFAULT_HYPERPARAMS, Hyperparams, ModelParams, backward_batch, count_parameters, init_params
 from tunneldetect.tokenizer import PAD_IDX, encode_batch
 from tunneldetect.training import (
     ADAM_BETA1,
@@ -18,7 +18,6 @@ from tunneldetect.training import (
     GridResult,
     TrainConfig,
     adam_step,
-    count_parameters,
     dense1_adam,
     default_grid,
     grid_search,
