@@ -293,6 +293,16 @@ def build_corpus(spec: CorpusSpec, normal_pools: Mapping[str, list[str]] | None 
     if normal_pools is None:
         normal_pools = default_normal_pools()
 
+    # every pooled count is checked before any sample is generated
+    for origin, count in spec.normal_counts.items():
+        if origin in normal_pools:
+            if count > len(normal_pools[origin]):
+                raise ValueError(
+                    f"normal pool {origin!r} has {len(normal_pools[origin])} domains, {count} requested"
+                )
+        elif origin != ORIGIN_CZ:
+            raise ValueError(f"no pool or generator for normal origin {origin!r}")
+
     samples: list[DomainSample] = []
     stream = 0
 
@@ -308,17 +318,10 @@ def build_corpus(spec: CorpusSpec, normal_pools: Mapping[str, list[str]] | None 
         child = _derive_seed(spec.seed, stream)
         if origin in normal_pools:
             pool = normal_pools[origin]
-            if count > len(pool):
-                raise ValueError(
-                    f"normal pool {origin!r} has {len(pool)} domains, {count} requested"
-                )
-            rng = np.random.default_rng(child)
-            picks = rng.permutation(len(pool))[:count]
+            picks = np.random.default_rng(child).permutation(len(pool))[:count]
             names = [pool[i] for i in picks]
-        elif origin == ORIGIN_CZ:
-            names = cz_like_names(count, child)
         else:
-            raise ValueError(f"no pool or generator for normal origin {origin!r}")
+            names = cz_like_names(count, child)
         samples.extend(DomainSample(n, LABEL_NORMAL, TOOL_NONE, origin) for n in names)
 
     order = np.random.default_rng(_derive_seed(spec.seed, 0)).permutation(len(samples))

@@ -30,16 +30,22 @@ inside a name stays live) up to summation order.
 
 dense1_w holds almost all the weights (11.0 M of 11.4 M at the
 reference configuration). backward_batch forms its gradient one
-cache-sized block at a time and can hand each block to a consumer that
-updates dense1_w in place (training's Adam step), so a training step
-never holds the whole dense1_w gradient. It also overwrites the packed
-conv activations with their gradient, so a step holds one array of
-that size, not two.
+cache-sized block at a time and hands each block to a consumer that
+may update dense1_w in place (training's Adam step), so a training step
+never holds the whole dense1_w gradient. The consumer runs on one
+persistent worker thread while backward forms the next blocks, and
+every call has returned by the time backward_batch returns or raises.
+backward_batch also overwrites the packed conv activations with their
+gradient, so a step holds one array of that size, not two. A thread
+that has trained keeps that array and the gradient blocks in flight in
+buffers it reuses at every step, and holds them until it exits.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -53,6 +59,10 @@ BCE_EPS = 1e-7
 # layer and the Adam update each work through their arrays in pieces of
 # about this size, so that every pass over a piece hits cache
 CACHE_BLOCK = 2**15
+
+# dense1_w gradient blocks of CACHE_BLOCK scalars that one backward pass
+# may have formed but the worker thread not yet consumed (2 MB in all)
+RING_SLOTS = 8
 
 # Open-interval bounds for the sigmoid output, so probabilities are
 # never exactly 0.0 or 1.0 even for saturated logits.
@@ -201,7 +211,7 @@ def _pack(xb: np.ndarray, hp: Hyperparams):
     return order, live, list(zip(starts.tolist(), counts.tolist(), widths.tolist())), sym
 
 
-def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
+def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, training: bool = False):
     """Batched forward pass keeping every activation needed by backward.
 
     The conv runs over the packed windows only (see _pack). dense1 is
@@ -211,7 +221,8 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
     the weights. Cached arrays are in sorted-row or packed order;
     probabilities come back in input order, as float64. The cache is
     backward_batch's to consume: it overwrites cache["ac"] with the
-    gradient of the conv output.
+    gradient of the conv output. With `training` (float64 weights only),
+    cache["ac"] is a view of this thread's reused activations buffer.
     """
     xb = np.atleast_2d(np.asarray(x_batch))
     if xb.shape[-1] != hp.l:
@@ -224,7 +235,8 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray):
 
     dtype = params.dense1_w.dtype
     table = np.matmul(params.embedding, params.conv_w)  # (ks, vocab, nf)
-    ac = np.empty((sym.shape[1], hp.nf), dtype)
+    shape = (sym.shape[1], hp.nf)
+    ac = _buffer("ac", math.prod(shape)).reshape(shape) if training else np.empty(shape, dtype)
     # blocks of windows small enough to stay in cache while their taps add up
     rows = max(1, CACHE_BLOCK // hp.nf)
     for r in range(0, ac.shape[0], rows):
@@ -262,6 +274,110 @@ def forward_batch(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray) -> 
     return p
 
 
+_worker_lock = threading.Lock()
+_worker: tuple[threading.Thread, queue.SimpleQueue] | None = None
+_buffers = threading.local()
+
+
+def _work(jobs: queue.SimpleQueue) -> None:
+    """The worker thread's loop: run each job's dense1_update under the
+    numpy error state of the thread that made it (numpy keeps that state
+    per thread), then answer on the job's done queue with None or the
+    exception raised. Once a call fails, the rest of that backward pass's
+    jobs are answered without being run."""
+    failed = None
+    while True:
+        update, errs, offset, block, done = jobs.get()
+        result = None
+        if done is not failed:
+            try:
+                with np.errstate(**errs):
+                    update(offset, block)
+            except BaseException as exc:
+                result, failed = exc, done
+        # an idle worker holds nothing of its last job (the consumer's
+        # closure may hold a whole model and its Adam moments)
+        update = errs = block = None
+        done.put(result)
+        done = result = None
+
+
+def _dense1_jobs() -> queue.SimpleQueue:
+    """The job queue of the one dense1 worker thread, which is started on
+    first use (and again in a forked child, which inherits no threads)."""
+    global _worker
+    with _worker_lock:
+        if _worker is None or not _worker[0].is_alive():
+            jobs = queue.SimpleQueue()
+            thread = threading.Thread(target=_work, args=(jobs,), name="tunneldetect-dense1", daemon=True)
+            thread.start()
+            _worker = (thread, jobs)
+        return _worker[1]
+
+
+def _buffer(name: str, size: int) -> np.ndarray:
+    """`size` float64 scalars of this thread's buffer `name`, which is
+    allocated once, grown when a call needs more, and reused by every
+    later backward pass of the thread.
+
+    Training keeps its two largest per-step arrays here: the packed conv
+    activations and the gradient ring. Taken from the malloc heap and
+    given back at every step, activations of a size the heap's free
+    space could not hold went to a fresh mapping while the heap stayed
+    resident, and a reference `train` peaked 21 MB higher (361 against
+    340 MB, 2 vCPU, 1 BLAS thread) on some corpora."""
+    buf = getattr(_buffers, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_buffers, name, buf)
+    return buf[:size]
+
+
+class _Handoff:
+    """Gradient blocks of one backward pass on their way to the worker
+    thread, which calls dense1_update on each, in the order given.
+
+    Used as a context manager whose exit waits for every block, so no
+    call is running or starts once the body has left it. Then the body's
+    exception goes through, or, if the body raised none, the exception of
+    the call that failed.
+    """
+
+    def __init__(self, dense1_update: Callable[[int, np.ndarray], None]):
+        self.jobs = _dense1_jobs()
+        self.update, self.errs = dense1_update, np.geterr()
+        self.done = queue.SimpleQueue()
+        self.pending = 0
+        self.error: BaseException | None = None
+
+    def put(self, offset: int, block: np.ndarray) -> None:
+        self.jobs.put((self.update, self.errs, offset, block, self.done))
+        self.pending += 1
+
+    def wait(self, most: int) -> None:
+        """Wait until at most `most` blocks are in flight; raise the
+        exception of a call that failed."""
+        while self.pending > most:
+            self._take()
+        if self.error is not None:
+            raise self.error
+
+    def _take(self) -> None:
+        result = self.done.get()
+        self.pending -= 1
+        if self.error is None:
+            self.error = result
+
+    def __enter__(self) -> "_Handoff":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        while self.pending:
+            self._take()
+        if exc_type is None and self.error is not None:
+            raise self.error
+
+
 def _mean_bce(p: np.ndarray, y: np.ndarray) -> float:
     """Mean binary cross-entropy with probabilities clamped away from 0 and 1."""
     pc = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
@@ -283,11 +399,17 @@ def backward_batch(
 
     The dense1_w gradient is formed one buffer of CACHE_BLOCK scalars
     (or one row, if hn is larger) at a time, in flat order, and each
-    full or final buffer goes to dense1_update(flat offset, block). A
-    consumer may update dense1_w in place: every position's blocks
-    come after the GEMM that reads its rows of dense1_w. With a
-    consumer, the returned dense1_w gradient is None; without one, the
-    blocks are gathered into the full gradient.
+    full or final buffer goes to dense1_update(flat offset, block). The
+    calls run in that order on one worker thread, under the numpy error
+    state of the caller, while backward forms the next buffers (up to
+    RING_SLOTS of them); all have returned when backward_batch returns
+    or raises. If a call raises, no later block is handed to the
+    consumer and backward_batch raises that exception. A consumer may
+    update dense1_w in place: every position's blocks are handed over
+    after the GEMMs that read its rows of dense1_w. It must not call
+    backward_batch itself. With a consumer, the returned dense1_w
+    gradient is None; without one, the blocks are gathered (on the same
+    worker) into the full gradient.
 
     The forward cache is consumed: each position's block of the packed
     conv activations is overwritten with its gradient once the dense1
@@ -310,7 +432,17 @@ def backward_batch(
         def dense1_update(offset, block):
             dense1_grad[offset : offset + block.size] = block
 
-    probs, cache = _forward_cached(params, hp, xb)
+    with _Handoff(dense1_update) as handoff:
+        g, loss = _backward(params, hp, xb, yb, handoff)
+    if dense1_grad is not None:
+        g.dense1_w = dense1_grad.reshape(hp.flat_width, hp.hn)
+    return g, loss
+
+
+def _backward(params: ModelParams, hp: Hyperparams, xb: np.ndarray, yb: np.ndarray, handoff: _Handoff):
+    """backward_batch's passes, handing each dense1_w gradient block to
+    `handoff`; the returned dense1_w gradient is None."""
+    probs, cache = _forward_cached(params, hp, xb, training=True)
     batch = xb.shape[0]
     loss = _mean_bce(probs, yb)
     order, ac, sym = cache["order"], cache["ac"], cache["sym"]
@@ -329,8 +461,10 @@ def backward_batch(
     dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
     w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
     scratch = np.empty((batch, hp.nf))
-    buf = np.empty((max(1, CACHE_BLOCK // hp.hn), hp.hn))
-    filled = offset = 0  # rows of buf in use; flat offset of buf[0]
+    rows = max(1, CACHE_BLOCK // hp.hn)  # gradient rows per block
+    slots = min(RING_SLOTS, -(-hp.flat_width // rows))
+    ring = _buffer("ring", slots * rows * hp.hn).reshape(slots, rows, hp.hn)
+    slot = filled = offset = 0  # ring slot being filled, its rows in use; flat offset of its first row
     for p, (lo, k, m) in enumerate(cache["blocks"]):
         if m > k:
             dz1[k] = dead_sum[k]
@@ -338,17 +472,19 @@ def backward_batch(
         a = ac[lo : lo + m]
         r = 0
         while r < hp.nf:
-            n = min(buf.shape[0] - filled, hp.nf - r)
-            np.matmul(a[:, r : r + n].T, dz1[:m], out=buf[filled : filled + n])
+            n = min(rows - filled, hp.nf - r)
+            np.matmul(a[:, r : r + n].T, dz1[:m], out=ring[slot, filled : filled + n])
             filled += n
             r += n
-            if filled == buf.shape[0]:
-                dense1_update(offset, buf.reshape(-1))
-                offset += buf.size
-                filled = 0
+            if filled == rows:
+                handoff.put(offset, ring[slot].reshape(-1))
+                offset += rows * hp.hn
+                slot, filled = (slot + 1) % slots, 0
+                # the next slot is free once at most slots - 1 blocks are in flight
+                handoff.wait(slots - 1)
         np.multiply(scratch[:m], a > 0.0, out=a)
     if filled:
-        dense1_update(offset, buf[:filled].reshape(-1))
+        handoff.put(offset, ring[slot, :filled].reshape(-1))
     dzc = ac
 
     # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads
@@ -376,7 +512,7 @@ def backward_batch(
         embedding=embedding,
         conv_w=np.matmul(params.embedding.T, dtable),   # (ks, d, nf)
         conv_b=dzc.sum(axis=0),
-        dense1_w=None if dense1_grad is None else dense1_grad.reshape(hp.flat_width, hp.hn),
+        dense1_w=None,
         dense1_b=dense1_b,
         dense2_w=cache["a1"].T @ dz2,
         dense2_b=np.array([dz2.sum()]),

@@ -3,8 +3,12 @@ stratified k-fold cross-validation and hyperparameter grid search
 ranked by mean F1 of the tunneling class.
 
 Each training step calls backward_batch with dense1_adam as its
-dense1_w consumer, so Adam updates dense1_w block by block while its
-gradient is formed, then adam_step for the other blocks.
+dense1_w consumer, so Adam updates dense1_w block by block, on
+backward_batch's worker thread, while backward forms the next gradient
+blocks; then adam_step updates the other blocks. Every dense1_w update
+of a step has returned before backward_batch does, and each block gets
+the same arithmetic on the same slice as the whole-array update, so the
+thread changes no bits.
 """
 
 from __future__ import annotations

@@ -317,6 +317,20 @@ class TestBuildCorpus:
         with pytest.raises(ValueError, match="alexa-like"):
             build_corpus(spec, {"alexa-like": ["a.com", "b.com"]})
 
+    @pytest.mark.parametrize("normal_counts, error", [
+        ({"alexa-like": 3}, "normal pool 'alexa-like' has 2 domains, 3 requested"),
+        ({"nowhere-like": 1}, "no pool or generator for normal origin 'nowhere-like'"),
+    ], ids=["exhausted-pool", "unknown-origin"])
+    def test_normal_counts_checked_before_any_tunneling_sample(self, normal_counts, error, monkeypatch):
+        def fail(*args):
+            raise AssertionError("tunneling samples generated before the normal counts were checked")
+
+        monkeypatch.setattr(datagen, "tunneling_samples", fail)
+        spec = CorpusSpec(tunneling_counts={"iodine": 10**12}, normal_counts=normal_counts, seed=0)
+        with pytest.raises(ValueError) as exc:
+            build_corpus(spec, {"alexa-like": ["a.com", "b.com"]})
+        assert str(exc.value) == error
+
     def test_tunneling_split_across_apexes(self):
         spec = CorpusSpec(
             tunneling_counts={"iodine": 10},

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +384,137 @@ class TestBackward:
         _, loss = backward_batch(tiny_model, tiny_hp, x, np.array([0.0, 1.0]))
         want = -(math.log(1.0 - probs[0]) + math.log(probs[1])) / 2
         assert loss == pytest.approx(want, rel=1e-12)
+
+
+class TestDense1Worker:
+    """backward_batch hands each dense1_w gradient block to one worker
+    thread; every consumer call has returned by the time backward_batch
+    returns or raises. Blocks of 8 scalars give the tiny model 30 blocks,
+    more than the ring holds."""
+
+    @pytest.fixture
+    def case(self, tiny_hp, tiny_model, monkeypatch):
+        monkeypatch.setattr(network, "CACHE_BLOCK", 8)
+        x = _rows_of_lengths(tiny_hp, [tiny_hp.l, 0, 3, "hole", 5], np.random.default_rng(17))
+        return tiny_model, tiny_hp, x, np.array([1.0, 0.0, 1.0, 0.0, 1.0])
+
+    def test_consumer_error_is_raised_and_no_call_outlives_it(self, case):
+        class Boom(Exception):
+            pass
+
+        calls = []
+
+        def third_fails(offset, block):
+            calls.append(offset)
+            if len(calls) == 3:
+                raise Boom
+
+        with pytest.raises(Boom):
+            backward_batch(*case, dense1_update=third_fails)
+        assert calls == [0, 8, 16]
+        time.sleep(0.05)
+        assert calls == [0, 8, 16]
+
+        blocks = []
+        grads, _ = backward_batch(*case, dense1_update=lambda offset, g: blocks.append(g.copy()))
+        assert grads.dense1_w is None
+        np.testing.assert_array_equal(np.concatenate(blocks), backward_batch(*case)[0].dense1_w.reshape(-1))
+
+    def test_slow_consumer_has_finished_every_block_on_return(self, case):
+        finished, threads = [], set()
+
+        def slow(offset, block):
+            time.sleep(0.001)
+            threads.add(threading.get_ident())
+            finished.append(offset)
+
+        hp = case[1]
+        backward_batch(*case, dense1_update=slow)
+        assert finished == list(range(0, hp.flat_width * hp.hn, 8))
+        assert len(threads) == 1
+
+    def test_ring_holds_at_most_ring_slots_blocks_and_no_more_than_the_gradient(self):
+        # the ring has a memory map of its own, which tracemalloc does not
+        # see; a fresh thread starts without one
+        sizes = []
+
+        def run():
+            for nf in (8, 64):  # dense1_w gradients of 2.6 and 21 blocks
+                hp = Hyperparams(nf=nf, ks=4, sl=1, d=8, l=45, hn=256)
+                x = encode_batch(["a1b2c3.example.com", "x" * 45], hp.l)
+                backward_batch(init_params(hp, 0), hp, x, np.array([1.0, 0.0]), dense1_update=lambda offset, block: None)
+                sizes.append(network._buffers.ring.size)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert sizes == [3 * network.CACHE_BLOCK, network.RING_SLOTS * network.CACHE_BLOCK]
+
+    def test_activations_buffer_is_allocated_once_per_thread(self):
+        # TestBackward::test_conv_gradient_overwrites_the_activations in a
+        # fresh thread, whose first backward pass allocates the buffer
+        hp = Hyperparams(nf=512, ks=4, sl=1, d=8, l=45, hn=8)
+        params = init_params(hp, 1)
+        rng = np.random.default_rng(2)
+        x = _rows_of_lengths(hp, rng.integers(1, hp.l + 1, size=128), rng)
+        y = rng.integers(0, 2, size=128).astype(float)
+        activations = _forward_cached(params, hp, x)[1]["ac"].nbytes
+        peaks = []
+
+        def run():
+            for _ in range(2):
+                tracemalloc.start()
+                try:
+                    backward_batch(params, hp, x, y, dense1_update=lambda offset, block: None)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert activations <= peaks[0] < 1.5 * activations
+        assert peaks[1] < 0.5 * activations
+
+    def test_concurrent_callers_share_the_worker_and_keep_their_bits(self, case):
+        # three callers and the worker on two CPUs, switching threads as
+        # often as the interpreter allows: a ring slot overwritten while
+        # in flight, or a block handed to another caller, changes a gradient
+        want = backward_batch(*case)[0].dense1_w
+        got = [[] for _ in range(3)]
+
+        def run(out):
+            for _ in range(20):
+                out.append(backward_batch(*case)[0].dense1_w)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(out,)) for out in got]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(out) for out in got] == [20, 20, 20]
+        for out in got:
+            for g in out:
+                np.testing.assert_array_equal(g, want)
+
+    def test_consumer_runs_under_the_callers_error_state(self, case):
+        def overflows(offset, block):
+            np.multiply(np.full(2, 1e308), 10.0)
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            backward_batch(*case, dense1_update=overflows)
+        # warnings turned into errors reach the worker thread too
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            backward_batch(*case, dense1_update=overflows)
 
 
 def test_model_scalar_count_matches_expected_shapes(tiny_hp, tiny_model):
