@@ -60,6 +60,9 @@ NORMAL_WEIGHTS = {
 # Samples per class in the full-size corpus (`generate-data --full`).
 FULL_PER_CLASS = 8000
 
+# Most samples a corpus spec may ask of one tunneling tool or normal origin.
+MAX_COUNT = 10 * FULL_PER_CLASS
+
 _FEED_FILES = {
     ORIGIN_ALEXA: "alexa_like.txt",
     ORIGIN_BAMBENEK: "bambenek_like.txt",
@@ -288,12 +291,14 @@ def build_corpus(spec: CorpusSpec, normal_pools: Mapping[str, list[str]] | None 
     Tunneling samples come from tunneling_samples, split across apexes.
     Normal samples are drawn without replacement from the given pools;
     a cz-like origin missing from them is synthesized.
-    Deterministic for a given spec.
+    Deterministic for a given spec. An origin with no pool or generator,
+    a pool smaller than its count, an unknown tool or a count above
+    MAX_COUNT raises ValueError before any sample is generated.
     """
     if normal_pools is None:
         normal_pools = default_normal_pools()
 
-    # every pooled count is checked before any sample is generated
+    # every tool, origin and count is checked before any sample is generated
     for origin, count in spec.normal_counts.items():
         if origin in normal_pools:
             if count > len(normal_pools[origin]):
@@ -302,6 +307,12 @@ def build_corpus(spec: CorpusSpec, normal_pools: Mapping[str, list[str]] | None 
                 )
         elif origin != ORIGIN_CZ:
             raise ValueError(f"no pool or generator for normal origin {origin!r}")
+    for tool in spec.tunneling_counts:
+        if tool not in _PAYLOAD_LABELS:
+            raise ValueError(f"unknown tunneling tool {tool!r}")
+    for key, count in [*spec.tunneling_counts.items(), *spec.normal_counts.items()]:
+        if count > MAX_COUNT:
+            raise ValueError(f"count for {key!r} is {count}, above the limit of {MAX_COUNT}")
 
     samples: list[DomainSample] = []
     stream = 0

@@ -32,13 +32,14 @@ dense1_w holds almost all the weights (11.0 M of 11.4 M at the
 reference configuration). backward_batch forms its gradient one
 cache-sized block at a time and hands each block to a consumer that
 may update dense1_w in place (training's Adam step), so a training step
-never holds the whole dense1_w gradient. The consumer runs on one
-persistent worker thread while backward forms the next blocks, and
-every call has returned by the time backward_batch returns or raises.
-backward_batch also overwrites the packed conv activations with their
-gradient, so a step holds one array of that size, not two. A thread
-that has trained keeps that array and the gradient blocks in flight in
-buffers it reuses at every step, and holds them until it exits.
+never holds the whole dense1_w gradient. Each backward pass queues one
+task on a persistent worker thread, which calls the consumer on each
+block while backward forms the next ones in a ring of RING_SLOTS
+buffers; the task has ended by the time backward_batch returns or
+raises. backward_batch also overwrites the packed conv activations
+with their gradient, so a step holds one array of that size, not two.
+A thread that has trained keeps that array and the ring in buffers it
+reuses at every step, and holds them until it exits.
 """
 
 from __future__ import annotations
@@ -279,40 +280,24 @@ _worker: tuple[threading.Thread, queue.SimpleQueue] | None = None
 _buffers = threading.local()
 
 
-def _work(jobs: queue.SimpleQueue) -> None:
-    """The worker thread's loop: run each job's dense1_update under the
-    numpy error state of the thread that made it (numpy keeps that state
-    per thread), then answer on the job's done queue with None or the
-    exception raised. Once a call fails, the rest of that backward pass's
-    jobs are answered without being run."""
-    failed = None
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """The worker thread's loop: run each task, in the order queued."""
     while True:
-        update, errs, offset, block, done = jobs.get()
-        result = None
-        if done is not failed:
-            try:
-                with np.errstate(**errs):
-                    update(offset, block)
-            except BaseException as exc:
-                result, failed = exc, done
-        # an idle worker holds nothing of its last job (the consumer's
-        # closure may hold a whole model and its Adam moments)
-        update = errs = block = None
-        done.put(result)
-        done = result = None
+        tasks.get()()
 
 
-def _dense1_jobs() -> queue.SimpleQueue:
-    """The job queue of the one dense1 worker thread, which is started on
-    first use (and again in a forked child, which inherits no threads)."""
+def _on_worker(task: Callable[[], None]) -> None:
+    """Queue `task` for the one dense1 worker thread, started on first use
+    (and again in a forked child, which inherits no threads). A task must
+    not raise: the thread would end with it."""
     global _worker
     with _worker_lock:
         if _worker is None or not _worker[0].is_alive():
-            jobs = queue.SimpleQueue()
-            thread = threading.Thread(target=_work, args=(jobs,), name="tunneldetect-dense1", daemon=True)
+            tasks = queue.SimpleQueue()
+            thread = threading.Thread(target=_serve, args=(tasks,), name="tunneldetect-dense1", daemon=True)
             thread.start()
-            _worker = (thread, jobs)
-        return _worker[1]
+            _worker = (thread, tasks)
+        _worker[1].put(task)
 
 
 def _buffer(name: str, size: int) -> np.ndarray:
@@ -334,46 +319,57 @@ def _buffer(name: str, size: int) -> np.ndarray:
 
 
 class _Handoff:
-    """Gradient blocks of one backward pass on their way to the worker
-    thread, which calls dense1_update on each, in the order given.
+    """One backward pass's dense1_w gradient blocks on their way to the
+    worker thread, where one task calls dense1_update on each, in the
+    order put, under the numpy error state of the caller (numpy keeps
+    that state per thread).
 
-    Used as a context manager whose exit waits for every block, so no
-    call is running or starts once the body has left it. Then the body's
-    exception goes through, or, if the body raised none, the exception of
-    the call that failed.
+    The ring's free slots are its only bookkeeping: `done` starts with
+    every slot, and the task puts each slot back once its block's call
+    has returned. Once a call has failed, the task puts back later slots
+    without calling, and free() raises that call's exception. Exit waits
+    for the task to end, so no call is running or starts once the body
+    has left the context. Then the body's exception goes through, or, if
+    the body raised none, the exception of the call that failed.
     """
 
-    def __init__(self, dense1_update: Callable[[int, np.ndarray], None]):
-        self.jobs = _dense1_jobs()
-        self.update, self.errs = dense1_update, np.geterr()
-        self.done = queue.SimpleQueue()
-        self.pending = 0
+    def __init__(self, dense1_update: Callable[[int, np.ndarray], None], slots: int):
+        self.update, self.errs, self.slots = dense1_update, np.geterr(), slots
+        self.jobs, self.done = queue.SimpleQueue(), queue.SimpleQueue()
+        for slot in range(slots):
+            self.done.put(slot)
         self.error: BaseException | None = None
+        _on_worker(self._work)
 
-    def put(self, offset: int, block: np.ndarray) -> None:
-        self.jobs.put((self.update, self.errs, offset, block, self.done))
-        self.pending += 1
+    def _work(self) -> None:
+        with np.errstate(**self.errs):
+            for slot, offset, block in iter(self.jobs.get, None):
+                if self.error is None:
+                    try:
+                        self.update(offset, block)
+                    except BaseException as exc:
+                        self.error = exc
+                self.done.put(slot)
+        self.done.put(None)
 
-    def wait(self, most: int) -> None:
-        """Wait until at most `most` blocks are in flight; raise the
-        exception of a call that failed."""
-        while self.pending > most:
-            self._take()
+    def free(self) -> int:
+        """A ring slot whose block the task is done with."""
+        slot = self.done.get()
         if self.error is not None:
             raise self.error
+        return slot
 
-    def _take(self) -> None:
-        result = self.done.get()
-        self.pending -= 1
-        if self.error is None:
-            self.error = result
+    def put(self, slot: int, offset: int, block: np.ndarray) -> None:
+        self.jobs.put((slot, offset, block))
 
     def __enter__(self) -> "_Handoff":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        while self.pending:
-            self._take()
+        self.jobs.put(None)
+        while self.done.get() is not None:
+            pass
+        self.update = None  # the worker may not have left the task yet, but holds no consumer
         if exc_type is None and self.error is not None:
             raise self.error
 
@@ -432,16 +428,17 @@ def backward_batch(
         def dense1_update(offset, block):
             dense1_grad[offset : offset + block.size] = block
 
-    with _Handoff(dense1_update) as handoff:
-        g, loss = _backward(params, hp, xb, yb, handoff)
+    rows = max(1, CACHE_BLOCK // hp.hn)  # gradient rows per ring slot
+    with _Handoff(dense1_update, min(RING_SLOTS, -(-hp.flat_width // rows))) as handoff:
+        g, loss = _backward(params, hp, xb, yb, rows, handoff)
     if dense1_grad is not None:
         g.dense1_w = dense1_grad.reshape(hp.flat_width, hp.hn)
     return g, loss
 
 
-def _backward(params: ModelParams, hp: Hyperparams, xb: np.ndarray, yb: np.ndarray, handoff: _Handoff):
-    """backward_batch's passes, handing each dense1_w gradient block to
-    `handoff`; the returned dense1_w gradient is None."""
+def _backward(params: ModelParams, hp: Hyperparams, xb: np.ndarray, yb: np.ndarray, rows: int, handoff: _Handoff):
+    """backward_batch's passes, handing each dense1_w gradient block of
+    `rows` rows to `handoff`; the returned dense1_w gradient is None."""
     probs, cache = _forward_cached(params, hp, xb, training=True)
     batch = xb.shape[0]
     loss = _mean_bce(probs, yb)
@@ -461,10 +458,8 @@ def _backward(params: ModelParams, hp: Hyperparams, xb: np.ndarray, yb: np.ndarr
     dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
     w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
     scratch = np.empty((batch, hp.nf))
-    rows = max(1, CACHE_BLOCK // hp.hn)  # gradient rows per block
-    slots = min(RING_SLOTS, -(-hp.flat_width // rows))
-    ring = _buffer("ring", slots * rows * hp.hn).reshape(slots, rows, hp.hn)
-    slot = filled = offset = 0  # ring slot being filled, its rows in use; flat offset of its first row
+    ring = _buffer("ring", handoff.slots * rows * hp.hn).reshape(handoff.slots, rows, hp.hn)
+    slot, filled, offset = handoff.free(), 0, 0  # ring slot being filled, its rows in use; flat offset of its first row
     for p, (lo, k, m) in enumerate(cache["blocks"]):
         if m > k:
             dz1[k] = dead_sum[k]
@@ -477,14 +472,12 @@ def _backward(params: ModelParams, hp: Hyperparams, xb: np.ndarray, yb: np.ndarr
             filled += n
             r += n
             if filled == rows:
-                handoff.put(offset, ring[slot].reshape(-1))
+                handoff.put(slot, offset, ring[slot].reshape(-1))
                 offset += rows * hp.hn
-                slot, filled = (slot + 1) % slots, 0
-                # the next slot is free once at most slots - 1 blocks are in flight
-                handoff.wait(slots - 1)
+                slot, filled = handoff.free(), 0
         np.multiply(scratch[:m], a > 0.0, out=a)
     if filled:
-        handoff.put(offset, ring[slot, :filled].reshape(-1))
+        handoff.put(slot, offset, ring[slot, :filled].reshape(-1))
     dzc = ac
 
     # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads

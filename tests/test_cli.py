@@ -134,6 +134,22 @@ class TestGenerateData:
         assert str(spec) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tunneling, error", [
+        ({"iodine": 200000, "bogus": 1}, "unknown tunneling tool 'bogus'"),
+        ({"iodine": 10**12}, "count for 'iodine' is 1000000000000, above the limit of 80000"),
+    ], ids=["unknown-tool", "huge-count"])
+    def test_spec_is_checked_before_any_sample(self, tmp_path, capsys, monkeypatch, tunneling, error):
+        def fail(*args):
+            raise AssertionError("tunneling samples generated before the spec was checked")
+
+        monkeypatch.setattr(datagen, "tunneling_samples", fail)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"tunneling": tunneling, "normal": {}}))
+        out = tmp_path / "corpus.csv"
+        assert main(["generate-data", "--out", str(out), "--spec", str(spec)]) == 4
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
     def test_implausible_apex_flag_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "corpus.csv"
         rc = main(["generate-data", "--out", str(out), "--per-class", "10", "--apex", "ok.example", "--apex", "x y"])

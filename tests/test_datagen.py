@@ -331,6 +331,27 @@ class TestBuildCorpus:
             build_corpus(spec, {"alexa-like": ["a.com", "b.com"]})
         assert str(exc.value) == error
 
+    @pytest.mark.parametrize("tunneling_counts, normal_counts, error", [
+        ({"iodine": 10, "bogus": 1}, {}, "unknown tunneling tool 'bogus'"),
+        ({"iodine": 10**12}, {}, "count for 'iodine' is 1000000000000, above the limit of 80000"),
+        ({"iodine": 10}, {"cz-like": datagen.MAX_COUNT + 1}, "count for 'cz-like' is 80001, above the limit of 80000"),
+    ], ids=["unknown-tool", "huge-tunneling-count", "huge-cz-count"])
+    def test_tools_and_counts_checked_before_any_sample(self, tunneling_counts, normal_counts, error, monkeypatch):
+        def fail(*args):
+            raise AssertionError("samples generated before the spec was checked")
+
+        monkeypatch.setattr(datagen, "tunneling_samples", fail)
+        monkeypatch.setattr(datagen, "cz_like_names", fail)
+        spec = CorpusSpec(tunneling_counts=tunneling_counts, normal_counts=normal_counts, seed=0)
+        with pytest.raises(ValueError) as exc:
+            build_corpus(spec, {})
+        assert str(exc.value) == error
+
+    def test_count_of_max_count_is_built(self):
+        spec = CorpusSpec(tunneling_counts={}, normal_counts={"alexa-like": datagen.MAX_COUNT}, seed=0)
+        names = [f"n{i}.example.com" for i in range(datagen.MAX_COUNT)]
+        assert len(build_corpus(spec, {"alexa-like": names})) == datagen.MAX_COUNT
+
     def test_tunneling_split_across_apexes(self):
         spec = CorpusSpec(
             tunneling_counts={"iodine": 10},

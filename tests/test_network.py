@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import math
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -501,6 +503,63 @@ class TestDense1Worker:
         finally:
             sys.setswitchinterval(interval)
         assert [len(out) for out in got] == [20, 20, 20]
+        for out in got:
+            for g in out:
+                np.testing.assert_array_equal(g, want)
+
+    def test_worker_holds_nothing_of_a_finished_pass(self, case):
+        # a training consumer holds the whole model and its Adam moments
+        class Consumer:
+            def __call__(self, offset, block):
+                pass
+
+        consumer = Consumer()
+        ref = weakref.ref(consumer)
+        backward_batch(*case, dense1_update=consumer)
+        del consumer
+        gc.collect()
+        assert ref() is None
+
+    def test_a_failing_pass_stops_only_its_own_calls(self, case):
+        # one thread's passes fail on their third block while two others
+        # run whole passes on the same worker
+        class Boom(Exception):
+            pass
+
+        want = backward_batch(*case)[0].dense1_w
+        got, stops = [[], []], []
+
+        def failing():
+            for _ in range(20):
+                calls = []
+
+                def third_fails(offset, block):
+                    calls.append(offset)
+                    if len(calls) == 3:
+                        raise Boom
+
+                try:
+                    backward_batch(*case, dense1_update=third_fails)
+                except Boom:
+                    stops.append(list(calls))
+
+        def run(out):
+            for _ in range(20):
+                out.append(backward_batch(*case)[0].dense1_w)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=failing)] + [threading.Thread(target=run, args=(out,)) for out in got]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert stops == [[0, 8, 16]] * 20
+        assert [len(out) for out in got] == [20, 20]
         for out in got:
             for g in out:
                 np.testing.assert_array_equal(g, want)
