@@ -12,7 +12,10 @@ Subcommands compose the library into reproducible pipelines:
 Every file-producing subcommand also writes `<output>.manifest.json`
 recording the resolved flags, seeds and input/output checksums, enough
 to reproduce the run bit for bit with the same numpy, BLAS library and
-BLAS thread count, which the manifest records too.
+BLAS thread count, which the manifest records too. The inputs are
+hashed on one background thread from when the subcommand starts reading
+them (see _InputDigests), so `evaluate` hashes its model while it loads
+it and scores; the outputs are hashed once they are written.
 
 Exit codes: 0 success, 2 usage, 3 I/O failure, 4 data/format problem
 (an input that asks for more memory than numpy can allocate included).
@@ -27,6 +30,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -56,6 +60,38 @@ def _sha256_file(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
+class _InputDigests:
+    """The digests of `paths` as the manifest records them, keyed by
+    `str(path)`, taken on one background thread from the start of the
+    `with` block, while the command reads and computes. `wait` returns
+    them, or raises what hashing raised; leaving the block joins the
+    thread, errors included, so it never outlives the command."""
+
+    def __init__(self, paths):
+        self._paths = paths
+        self._result = None
+        self._thread = threading.Thread(target=self._hash, name="tunneldetect-hash")
+
+    def _hash(self) -> None:
+        try:
+            self._result = {str(p): _sha256_file(p) for p in self._paths}
+        except BaseException as exc:  # handed to wait(), not printed by the thread
+            self._result = exc
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._thread.join()
+
+    def wait(self) -> dict:
+        self._thread.join()
+        if isinstance(self._result, BaseException):
+            raise self._result
+        return self._result
+
+
 def _environment() -> dict:
     """What bit-for-bit reproduction also depends on: the numpy version,
     the BLAS library numpy was built against, and the BLAS thread count
@@ -68,12 +104,12 @@ def _environment() -> dict:
     return {"numpy": np.__version__, "blas": blas, "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
 
 
-def _write_manifest(out_path, subcommand: str, args: dict, inputs: list, outputs: list, metrics: dict | None = None) -> None:
+def _write_manifest(out_path, subcommand: str, args: dict, inputs: _InputDigests, outputs: list, metrics: dict | None = None) -> None:
     manifest = {
         "tool": f"tunneldetect {__version__}",
         "subcommand": subcommand,
         "args": args,
-        "inputs": {str(p): _sha256_file(p) for p in inputs},
+        "inputs": inputs.wait(),
         "outputs": {str(p): _sha256_file(p) for p in outputs},
         "environment": _environment(),
     }
@@ -134,40 +170,40 @@ def _read_spec(path) -> datagen.CorpusSpec:
 
 
 def cmd_generate_data(args) -> int:
-    per_class = None if args.spec else args.per_class
-    spec = _read_spec(args.spec) if args.spec else datagen.desk_scale_spec(per_class=per_class)
-    # --seed and --apex replace what the spec file or the defaults say
-    spec = replace(spec, seed=spec.seed if args.seed is None else args.seed, apexes=args.apex or spec.apexes)
+    feeds = args.normal_feed or []
+    with _InputDigests([path for _, path in feeds]) as inputs:
+        per_class = None if args.spec else args.per_class
+        spec = _read_spec(args.spec) if args.spec else datagen.desk_scale_spec(per_class=per_class)
+        # --seed and --apex replace what the spec file or the defaults say
+        spec = replace(spec, seed=spec.seed if args.seed is None else args.seed, apexes=args.apex or spec.apexes)
 
-    pools = datagen.default_normal_pools()
-    feed_inputs = []
-    for origin, path in args.normal_feed or []:
-        pools[origin], skipped = datagen.load_normal(path)
-        if skipped:
-            print(f"note: {skipped} invalid lines skipped in {path}", file=sys.stderr)
-        feed_inputs.append(path)
+        pools = datagen.default_normal_pools()
+        for origin, path in feeds:
+            pools[origin], skipped = datagen.load_normal(path)
+            if skipped:
+                print(f"note: {skipped} invalid lines skipped in {path}", file=sys.stderr)
 
-    corpus = datagen.build_corpus(spec, pools)
-    datagen.write_corpus(corpus, args.out)
+        corpus = datagen.build_corpus(spec, pools)
+        datagen.write_corpus(corpus, args.out)
 
-    counts = {
-        "tunneling": dict(spec.tunneling_counts),
-        "normal": dict(spec.normal_counts),
-        "total": len(corpus),
-    }
-    _write_manifest(
-        args.out,
-        "generate-data",
-        {
-            "seed": spec.seed,
-            "apexes": list(spec.apexes),
-            "spec": args.spec,
-            "per_class": per_class,
-        },
-        inputs=feed_inputs,
-        outputs=[args.out],
-        metrics=counts,
-    )
+        counts = {
+            "tunneling": dict(spec.tunneling_counts),
+            "normal": dict(spec.normal_counts),
+            "total": len(corpus),
+        }
+        _write_manifest(
+            args.out,
+            "generate-data",
+            {
+                "seed": spec.seed,
+                "apexes": list(spec.apexes),
+                "spec": args.spec,
+                "per_class": per_class,
+            },
+            inputs=inputs,
+            outputs=[args.out],
+            metrics=counts,
+        )
     print(f"wrote {len(corpus)} samples to {args.out}")
     return EXIT_OK
 
@@ -197,66 +233,69 @@ def _train_config(args) -> tuple[training.TrainConfig, dict]:
 
 
 def cmd_train(args) -> int:
-    corpus = _load_labeled_corpus(args.corpus)
-    hp = args.hp
-    cfg, cfg_args = _train_config(args)
-    losses: list[float] = []
+    with _InputDigests([args.corpus]) as inputs:
+        corpus = _load_labeled_corpus(args.corpus)
+        hp = args.hp
+        cfg, cfg_args = _train_config(args)
+        losses: list[float] = []
 
-    def progress(epoch, loss):
-        losses.append(loss)
-        print(f"epoch {epoch:>3}/{cfg.epochs}  mean loss {loss:.6f}", file=sys.stderr)
+        def progress(epoch, loss):
+            losses.append(loss)
+            print(f"epoch {epoch:>3}/{cfg.epochs}  mean loss {loss:.6f}", file=sys.stderr)
 
-    params = training.train(corpus, hp, cfg, progress=progress)
-    model_store.save(params, hp, args.out)
-    _write_manifest(
-        args.out,
-        "train",
-        {"corpus": str(args.corpus), "hp": asdict(hp), **cfg_args},
-        inputs=[args.corpus],
-        outputs=[args.out],
-        metrics={
-            "parameter_count": training.count_parameters(hp),
-            "epoch_losses": losses,
-        },
-    )
+        params = training.train(corpus, hp, cfg, progress=progress)
+        model_store.save(params, hp, args.out)
+        _write_manifest(
+            args.out,
+            "train",
+            {"corpus": str(args.corpus), "hp": asdict(hp), **cfg_args},
+            inputs=inputs,
+            outputs=[args.out],
+            metrics={
+                "parameter_count": training.count_parameters(hp),
+                "epoch_losses": losses,
+            },
+        )
     print(f"trained {training.count_parameters(hp)} parameters, model saved to {args.out}")
     return EXIT_OK
 
 
 def cmd_grid_search(args) -> int:
-    corpus = _load_labeled_corpus(args.corpus)
-    grid = training.parse_grid_file(args.grid) if args.grid else training.default_grid()
-    cfg, cfg_args = _train_config(args)
-    results = training.grid_search(corpus, grid, cfg, k=args.folds)
+    hashing = _InputDigests([p for p in (args.corpus, args.grid) if p]) if args.report else contextlib.nullcontext()
+    with hashing as inputs:
+        corpus = _load_labeled_corpus(args.corpus)
+        grid = training.parse_grid_file(args.grid) if args.grid else training.default_grid()
+        cfg, cfg_args = _train_config(args)
+        results = training.grid_search(corpus, grid, cfg, k=args.folds)
 
-    rows = [
-        {
-            "hp": asdict(r.hp),
-            "mean_f1": r.mean_f1,
-            "sd_f1": r.sd_f1,
-            "parameters": r.parameter_count,
-        }
-        for r in results
-    ]
-    print(f"{'mean_f1':>8} {'sd_f1':>8} {'params':>12}  hp")
-    for r, row in zip(results, rows):
-        hp_text = " ".join(f"{k}={v}" for k, v in row["hp"].items())
-        print(f"{r.mean_f1:>8.4f} {r.sd_f1:>8.4f} {r.parameter_count:>12,d}  {hp_text}")
-    if args.report:
-        _write_json(args.report, rows)
-        _write_manifest(
-            args.report,
-            "grid-search",
+        rows = [
             {
-                "corpus": str(args.corpus),
-                "grid": str(args.grid) if args.grid else "default",
-                "folds": args.folds,
-                **cfg_args,
-            },
-            inputs=[p for p in (args.corpus, args.grid) if p],
-            outputs=[args.report],
-            metrics={"best": rows[0]},
-        )
+                "hp": asdict(r.hp),
+                "mean_f1": r.mean_f1,
+                "sd_f1": r.sd_f1,
+                "parameters": r.parameter_count,
+            }
+            for r in results
+        ]
+        print(f"{'mean_f1':>8} {'sd_f1':>8} {'params':>12}  hp")
+        for r, row in zip(results, rows):
+            hp_text = " ".join(f"{k}={v}" for k, v in row["hp"].items())
+            print(f"{r.mean_f1:>8.4f} {r.sd_f1:>8.4f} {r.parameter_count:>12,d}  {hp_text}")
+        if args.report:
+            _write_json(args.report, rows)
+            _write_manifest(
+                args.report,
+                "grid-search",
+                {
+                    "corpus": str(args.corpus),
+                    "grid": str(args.grid) if args.grid else "default",
+                    "folds": args.folds,
+                    **cfg_args,
+                },
+                inputs=inputs,
+                outputs=[args.report],
+                metrics={"best": rows[0]},
+            )
     return EXIT_OK
 
 
@@ -265,34 +304,39 @@ def cmd_evaluate(args) -> int:
     write the JSON report and the scatter CSV when asked. The model is
     loaded as float32, as classify loads it, so the metrics are those of
     the verdicts classify prints for the same names, up to the batch
-    bound evaluation.score states for float32."""
-    params, hp, _vocab = model_store.load(args.model, np.float32)
-    corpus = _load_labeled_corpus(args.corpus)
-    probabilities = evaluation.predict_samples(params, hp, corpus)
-    report = evaluation.compute_metrics(corpus, probabilities, args.threshold)
-    print(evaluation.format_report(report))
-    metrics = evaluation.report_to_dict(report)
+    bound evaluation.score states for float32. When a report or scatter
+    CSV is asked for, the model and corpus are hashed for the manifest
+    on a second thread while the model loads and the corpus is scored."""
+    manifest_out = args.report or args.scatter
+    hashing = _InputDigests([args.model, args.corpus]) if manifest_out else contextlib.nullcontext()
+    with hashing as inputs:
+        params, hp, _vocab = model_store.load(args.model, np.float32)
+        corpus = _load_labeled_corpus(args.corpus)
+        probabilities = evaluation.predict_samples(params, hp, corpus)
+        report = evaluation.compute_metrics(corpus, probabilities, args.threshold)
+        print(evaluation.format_report(report))
+        metrics = evaluation.report_to_dict(report)
 
-    outputs = []
-    if args.scatter:
-        evaluation.export_scatter(corpus, probabilities, args.scatter)
-        outputs.append(args.scatter)
-    if args.report:
-        _write_json(args.report, metrics)
-        outputs.append(args.report)
-    if outputs:
-        _write_manifest(
-            args.report or args.scatter,
-            "evaluate",
-            {
-                "model": str(args.model),
-                "corpus": str(args.corpus),
-                "threshold": args.threshold,
-            },
-            inputs=[args.model, args.corpus],
-            outputs=outputs,
-            metrics=metrics,
-        )
+        outputs = []
+        if args.scatter:
+            evaluation.export_scatter(corpus, probabilities, args.scatter)
+            outputs.append(args.scatter)
+        if args.report:
+            _write_json(args.report, metrics)
+            outputs.append(args.report)
+        if manifest_out:
+            _write_manifest(
+                manifest_out,
+                "evaluate",
+                {
+                    "model": str(args.model),
+                    "corpus": str(args.corpus),
+                    "threshold": args.threshold,
+                },
+                inputs=inputs,
+                outputs=outputs,
+                metrics=metrics,
+            )
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -720,6 +723,93 @@ class TestBlasThreads:
             (first, env1), (second, env2) = (self.train(tmp_path, corpus, threads, run) for run in (1, 2))
             assert first == second, f"OPENBLAS_NUM_THREADS={threads}"
             assert env1 == env2 == threads
+
+
+class TestManifestHashing:
+    """The manifest's input digests are taken on a background thread
+    while the subcommand reads and computes (cli._InputDigests)."""
+
+    @staticmethod
+    def assert_digests(manifest_path, inputs, outputs):
+        manifest = json.loads(Path(manifest_path).read_text())
+        for key, paths in (("inputs", inputs), ("outputs", outputs)):
+            assert manifest[key] == {
+                str(p): "sha256:" + hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths
+            }, key
+
+    def test_digests_are_sha256_of_each_file(self, tmp_path):
+        feed, corpus, model = tmp_path / "feed.txt", tmp_path / "corpus.csv", tmp_path / "model.bin"
+        report, scatter, grid, grid_report = (tmp_path / n for n in ("r.json", "s.csv", "grid.txt", "g.json"))
+        feed.write_text("\n".join(f"site{i}.example" for i in range(50)) + "\n")
+        grid.write_text(TOY_HP_FLAG + "\n")
+        assert main(["generate-data", "--out", str(corpus), "--per-class", "20",
+                     "--normal-feed", f"alexa-like={feed}"]) == 0
+        self.assert_digests(f"{corpus}.manifest.json", [feed], [corpus])
+        assert main(["train", "--corpus", str(corpus), "--out", str(model), "--hp", TOY_HP_FLAG, "--epochs", "1"]) == 0
+        self.assert_digests(f"{model}.manifest.json", [corpus], [model])
+        assert main(["evaluate", "--model", str(model), "--corpus", str(corpus),
+                     "--report", str(report), "--scatter", str(scatter)]) == 0
+        self.assert_digests(f"{report}.manifest.json", [model, corpus], [scatter, report])
+        assert main(["grid-search", "--corpus", str(corpus), "--grid", str(grid), "--folds", "2", "--epochs", "1",
+                     "--report", str(grid_report)]) == 0
+        self.assert_digests(f"{grid_report}.manifest.json", [corpus, grid], [grid_report])
+
+    @pytest.mark.parametrize("fault, code", [("missing-corpus", 3), ("flipped-model", 4), ("unhashable-input", 3)])
+    def test_evaluate_failure_prints_one_error_and_ends_its_thread(
+            self, tmp_path, toy_corpus_file, toy_model_file, capsys, monkeypatch, fault, code):
+        corpus, sha256_file = toy_corpus_file, cli._sha256_file
+
+        def slow(path):  # still hashing when the main thread fails, unless the failure joins it
+            time.sleep(0.1)
+            return sha256_file(path)
+
+        def unreadable(path):  # the model loads and scores, but its digest cannot be taken
+            if Path(path) == toy_model_file:
+                raise PermissionError(f"[Errno 13] Permission denied: {str(path)!r}")
+            return sha256_file(path)
+
+        monkeypatch.setattr(cli, "_sha256_file", unreadable if fault == "unhashable-input" else slow)
+        if fault == "missing-corpus":
+            corpus = tmp_path / "absent.csv"
+        elif fault == "flipped-model":
+            data = bytearray(toy_model_file.read_bytes())
+            data[-1] ^= 0xFF
+            toy_model_file.write_bytes(bytes(data))
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        report, scatter = tmp_path / "r.json", tmp_path / "s.csv"
+        capsys.readouterr()
+        before = set(threading.enumerate())
+
+        rc = main(["evaluate", "--model", str(toy_model_file), "--corpus", str(corpus),
+                   "--report", str(report), "--scatter", str(scatter)])
+
+        assert {t.name for t in set(threading.enumerate()) - before} <= {"tunneldetect-dense1"}
+        assert rc == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert uncaught == []
+        assert not (tmp_path / "r.json.manifest.json").exists()
+        if fault != "unhashable-input":  # those outputs are written before the manifest waits for its inputs
+            assert not report.exists() and not scatter.exists()
+
+    def test_evaluate_without_outputs_hashes_nothing(self, toy_corpus_file, toy_model_file, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_sha256_file", lambda path: calls.append(path))
+        before = set(threading.enumerate())
+        assert main(["evaluate", "--model", str(toy_model_file), "--corpus", str(toy_corpus_file)]) == 0
+        assert calls == []
+        assert {t.name for t in set(threading.enumerate()) - before} <= {"tunneldetect-dense1"}
+
+    def test_import_leaves_out_concurrent_futures(self):
+        # its import costs milliseconds, paid by every CLI process
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, tunneldetect.cli; print('concurrent.futures' in sys.modules)"],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        assert out == "False\n"
 
 
 def test_version_flag(capsys):
