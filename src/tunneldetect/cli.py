@@ -150,19 +150,20 @@ def _threshold_flag(text: str) -> float:
 
 
 def _read_spec(path) -> datagen.CorpusSpec:
-    """The corpus spec in a JSON file. Malformed content raises
-    ValueError naming the file."""
+    """The corpus spec in a JSON file; "apexes" and "seed" may be left
+    out, and then take CorpusSpec's defaults. Malformed content, a
+    missing or an unknown key raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise ValueError(f"expected a JSON object, got {raw!r}")
-            return datagen.CorpusSpec(
-                tunneling_counts=raw["tunneling"],
-                normal_counts=raw["normal"],
-                apexes=raw.get("apexes", datagen.DEFAULT_APEXES),
-                seed=raw.get("seed", 0),
-            )
+            keys = ["tunneling", "normal", "apexes", "seed"]
+            for key in raw:
+                if key not in keys:
+                    raise ValueError(f"unknown key {key!r} (expected one of {keys})")
+            optional = {key: raw[key] for key in keys[2:] if key in raw}
+            return datagen.CorpusSpec(raw["tunneling"], raw["normal"], **optional)
         except KeyError as exc:
             raise ValueError(f"corpus spec {path} lacks the key {exc}") from None
         except ValueError as exc:
@@ -171,7 +172,7 @@ def _read_spec(path) -> datagen.CorpusSpec:
 
 def cmd_generate_data(args) -> int:
     feeds = args.normal_feed or []
-    with _InputDigests([path for _, path in feeds]) as inputs:
+    with _InputDigests(([args.spec] if args.spec else []) + [path for _, path in feeds]) as inputs:
         per_class = None if args.spec else args.per_class
         spec = _read_spec(args.spec) if args.spec else datagen.desk_scale_spec(per_class=per_class)
         # --seed and --apex replace what the spec file or the defaults say
@@ -437,9 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate-data", help="write a labeled synthetic corpus CSV")
     p.add_argument("--out", required=True, help="corpus CSV to write")
-    p.add_argument("--seed", type=int, default=None, help="corpus seed (default 0)")
+    p.add_argument("--seed", type=int, default=None, help=f"corpus seed (default {datagen.DEFAULT_SEED})")
     size = p.add_mutually_exclusive_group()
-    size.add_argument("--per-class", type=int, default=2000, help="samples per class (default 2000)")
+    size.add_argument("--per-class", type=int, default=datagen.DESK_PER_CLASS,
+                      help=f"samples per class (default {datagen.DESK_PER_CLASS})")
     size.add_argument("--full", dest="per_class", action="store_const", const=datagen.FULL_PER_CLASS,
                       help=f"full-size corpus ({datagen.FULL_PER_CLASS} per class)")
     size.add_argument("--spec", help="JSON file with explicit per-category counts; --seed and --apex replace its own")
@@ -463,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid-search", help="cross-validated hyperparameter search")
     p.add_argument("--corpus", required=True)
     p.add_argument("--grid", help="grid file (one key=value combination per line)")
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--folds", type=int, default=training.DEFAULT_FOLDS)
     _add_train_flags(p)
     p.add_argument("--report", help="JSON report to write")
     p.set_defaults(func=cmd_grid_search)

@@ -42,6 +42,7 @@ ORIGIN_CZ = "cz-like"
 # Two attacker-controlled apex domains; tunneling names are generated
 # under both, mirroring a registered .com / .online pair.
 DEFAULT_APEXES = ("exfiltest.com", "covertcheck.online")
+DEFAULT_SEED = 0  # of a corpus whose spec names none
 
 # Class distribution the synthetic corpus is scaled from: per-tool counts
 # for tunneling and per-source counts for normal traffic.
@@ -57,7 +58,9 @@ NORMAL_WEIGHTS = {
     ORIGIN_ALEXA: 5000,
 }
 
-# Samples per class in the full-size corpus (`generate-data --full`).
+# Samples per class in the desk-scale corpus (`generate-data`'s default)
+# and in the full-size one (`generate-data --full`).
+DESK_PER_CLASS = 2000
 FULL_PER_CLASS = 8000
 
 # Most samples a corpus spec may ask of one tunneling tool or normal origin.
@@ -100,7 +103,7 @@ class CorpusSpec:
     tunneling_counts: Mapping[str, int]
     normal_counts: Mapping[str, int]
     apexes: tuple[str, ...] = DEFAULT_APEXES
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
@@ -144,7 +147,7 @@ def scale_counts(weights: Mapping[str, int], total: int) -> dict[str, int]:
     return counts
 
 
-def desk_scale_spec(seed: int = 0, per_class: int = 2000) -> CorpusSpec:
+def desk_scale_spec(seed: int = DEFAULT_SEED, per_class: int = DESK_PER_CLASS) -> CorpusSpec:
     """Balanced desk-scale corpus: `per_class` samples per class, category
     counts proportional to the reference distribution."""
     return CorpusSpec(

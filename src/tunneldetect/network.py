@@ -30,16 +30,17 @@ inside a name stays live) up to summation order.
 
 dense1_w holds almost all the weights (11.0 M of 11.4 M at the
 reference configuration). backward_batch forms its gradient one
-cache-sized block at a time and hands each block to a consumer that
-may update dense1_w in place (training's Adam step), so a training step
-never holds the whole dense1_w gradient. Each backward pass queues one
-task on a persistent worker thread, which calls the consumer on each
-block while backward forms the next ones in a ring of RING_SLOTS
-buffers; the task has ended by the time backward_batch returns or
-raises. backward_batch also overwrites the packed conv activations
-with their gradient, so a step holds one array of that size, not two.
-A thread that has trained keeps that array and the ring in buffers it
-reuses at every step, and holds them until it exits.
+cache-sized block at a time and hands each block to the consumer its
+caller passes, which may update dense1_w in place (training's Adam
+step); the gradients it returns leave dense1_w None, so nothing holds
+the whole dense1_w gradient. Each backward pass queues one task on a
+persistent worker thread, which calls the consumer on each block while
+backward forms the next ones in a ring of RING_SLOTS buffers; the task
+has ended by the time backward_batch returns or raises. backward_batch
+also overwrites the packed conv activations with their gradient, so a
+step holds one array of that size, not two. A thread that has trained
+keeps that array and the ring in buffers it reuses at every step, and
+holds them until it exits.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ DEFAULT_HYPERPARAMS = Hyperparams(nf=1024, ks=4, sl=1, d=100, l=45, hn=256)
 @dataclass
 class ModelParams:
     """All trainable weights. Also used as the container for gradients,
-    which share these shapes exactly; backward_batch leaves dense1_w
-    None when a consumer took its gradient block by block."""
+    which share these shapes exactly, except that backward_batch leaves
+    dense1_w None: its consumer took that gradient block by block."""
 
     embedding: np.ndarray  # (vocab, d)
     conv_w: np.ndarray     # (ks, d, nf)
@@ -385,7 +386,8 @@ def backward_batch(
     hp: Hyperparams,
     x_batch: np.ndarray,
     y_batch: np.ndarray,
-    dense1_update: Callable[[int, np.ndarray], None] | None = None,
+    *,
+    dense1_update: Callable[[int, np.ndarray], None],
 ) -> tuple[ModelParams, float]:
     """Gradients of the mean BCE loss over an encoded batch.
 
@@ -403,9 +405,8 @@ def backward_batch(
     consumer and backward_batch raises that exception. A consumer may
     update dense1_w in place: every position's blocks are handed over
     after the GEMMs that read its rows of dense1_w. It must not call
-    backward_batch itself. With a consumer, the returned dense1_w
-    gradient is None; without one, the blocks are gathered (on the same
-    worker) into the full gradient.
+    backward_batch itself. The returned dense1_w gradient is None: the
+    consumer has had every block of it.
 
     The forward cache is consumed: each position's block of the packed
     conv activations is overwritten with its gradient once the dense1
@@ -421,93 +422,77 @@ def backward_batch(
     if xb.shape[0] != yb.shape[0]:
         raise ValueError(f"batch size mismatch: {xb.shape[0]} sequences, {yb.shape[0]} labels")
 
-    dense1_grad = None
-    if dense1_update is None:
-        dense1_grad = np.empty(hp.flat_width * hp.hn)
-
-        def dense1_update(offset, block):
-            dense1_grad[offset : offset + block.size] = block
-
     rows = max(1, CACHE_BLOCK // hp.hn)  # gradient rows per ring slot
     with _Handoff(dense1_update, min(RING_SLOTS, -(-hp.flat_width // rows))) as handoff:
-        g, loss = _backward(params, hp, xb, yb, rows, handoff)
-    if dense1_grad is not None:
-        g.dense1_w = dense1_grad.reshape(hp.flat_width, hp.hn)
-    return g, loss
+        probs, cache = _forward_cached(params, hp, xb, training=True)
+        batch = xb.shape[0]
+        loss = _mean_bce(probs, yb)
+        order, ac, sym = cache["order"], cache["ac"], cache["sym"]
 
+        dz2 = (probs[order] - yb[order]) / batch                # (B,), sorted rows
+        da1 = np.outer(dz2, params.dense2_w)                # (B, hn)
+        dz1 = da1 * (cache["z1"] > 0.0)
+        dense1_b = dz1.sum(axis=0)
 
-def _backward(params: ModelParams, hp: Hyperparams, xb: np.ndarray, yb: np.ndarray, rows: int, handoff: _Handoff):
-    """backward_batch's passes, handing each dense1_w gradient block of
-    `rows` rows to `handoff`; the returned dense1_w gradient is None."""
-    probs, cache = _forward_cached(params, hp, xb, training=True)
-    batch = xb.shape[0]
-    loss = _mean_bce(probs, yb)
-    order, ac, sym = cache["order"], cache["ac"], cache["sym"]
+        # Position p's GEMMs take its k live rows of dz1, then, in the all-PAD
+        # window's slot k, the sum of dz1 over the rows dead at p, written into
+        # dz1 in place. Counts never grow with p, so no later position reads a
+        # row that slot overwrote. Each position's conv gradient goes to
+        # `scratch` while its dense1 GEMMs still read the activations, then
+        # over those activations, so after the loop `ac` holds dL/dconv-out.
+        dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
+        w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
+        scratch = np.empty((batch, hp.nf))
+        ring = _buffer("ring", handoff.slots * rows * hp.hn).reshape(handoff.slots, rows, hp.hn)
+        slot, filled, offset = handoff.free(), 0, 0  # ring slot being filled, its rows in use; flat offset of its first row
+        for p, (lo, k, m) in enumerate(cache["blocks"]):
+            if m > k:
+                dz1[k] = dead_sum[k]
+            np.matmul(dz1[:m], w1[p].T, out=scratch[:m])
+            a = ac[lo : lo + m]
+            r = 0
+            while r < hp.nf:
+                n = min(rows - filled, hp.nf - r)
+                np.matmul(a[:, r : r + n].T, dz1[:m], out=ring[slot, filled : filled + n])
+                filled += n
+                r += n
+                if filled == rows:
+                    handoff.put(slot, offset, ring[slot].reshape(-1))
+                    offset += rows * hp.hn
+                    slot, filled = handoff.free(), 0
+            np.multiply(scratch[:m], a > 0.0, out=a)
+        if filled:
+            handoff.put(slot, offset, ring[slot, :filled].reshape(-1))
+        dzc = ac
 
-    dz2 = (probs[order] - yb[order]) / batch                # (B,), sorted rows
-    da1 = np.outer(dz2, params.dense2_w)                # (B, hn)
-    dz1 = da1 * (cache["z1"] > 0.0)
-    dense1_b = dz1.sum(axis=0)
+        # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads
+        # symbol v: one GEMM per tap of a (vocab, windows) one-hot matrix with
+        # dzc. That is about vocab times the multiply-adds of a scatter-add,
+        # yet faster: at the reference config (128 desk names, 2,746 packed
+        # windows, 1 BLAS thread, numpy 2.4.6) 25 ms against 183 ms for
+        # np.add.at and for a sort + np.add.reduceat. One GEMM of all ks taps'
+        # one-hot rows is ~8 ms faster (BLAS packs dzc once, not ks times) but
+        # holds a one-hot matrix ks times larger (2.2 MB more train VmHWM).
+        vocab = params.embedding.shape[0]
+        cols = np.arange(dzc.shape[0])
+        onehot = np.zeros((vocab, dzc.shape[0]))
+        dtable = np.empty((hp.ks, vocab, hp.nf))
+        for j in range(hp.ks):
+            if j:
+                onehot[sym[j - 1], cols] = 0.0
+            onehot[sym[j], cols] = 1.0
+            np.matmul(onehot, dzc, out=dtable[j])
+        embedding = dtable[0] @ params.conv_w[0].T
+        for j in range(1, hp.ks):
+            embedding += dtable[j] @ params.conv_w[j].T
 
-    # Position p's GEMMs take its k live rows of dz1, then, in the all-PAD
-    # window's slot k, the sum of dz1 over the rows dead at p, written into
-    # dz1 in place. Counts never grow with p, so no later position reads a
-    # row that slot overwrote. Each position's conv gradient goes to
-    # `scratch` while its dense1 GEMMs still read the activations, then
-    # over those activations, so after the loop `ac` holds dL/dconv-out.
-    dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
-    w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
-    scratch = np.empty((batch, hp.nf))
-    ring = _buffer("ring", handoff.slots * rows * hp.hn).reshape(handoff.slots, rows, hp.hn)
-    slot, filled, offset = handoff.free(), 0, 0  # ring slot being filled, its rows in use; flat offset of its first row
-    for p, (lo, k, m) in enumerate(cache["blocks"]):
-        if m > k:
-            dz1[k] = dead_sum[k]
-        np.matmul(dz1[:m], w1[p].T, out=scratch[:m])
-        a = ac[lo : lo + m]
-        r = 0
-        while r < hp.nf:
-            n = min(rows - filled, hp.nf - r)
-            np.matmul(a[:, r : r + n].T, dz1[:m], out=ring[slot, filled : filled + n])
-            filled += n
-            r += n
-            if filled == rows:
-                handoff.put(slot, offset, ring[slot].reshape(-1))
-                offset += rows * hp.hn
-                slot, filled = handoff.free(), 0
-        np.multiply(scratch[:m], a > 0.0, out=a)
-    if filled:
-        handoff.put(slot, offset, ring[slot, :filled].reshape(-1))
-    dzc = ac
-
-    # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads
-    # symbol v: one GEMM per tap of a (vocab, windows) one-hot matrix with
-    # dzc. That is about vocab times the multiply-adds of a scatter-add,
-    # yet faster: at the reference config (128 desk names, 2,746 packed
-    # windows, 1 BLAS thread, numpy 2.4.6) 25 ms against 183 ms for
-    # np.add.at and for a sort + np.add.reduceat. One GEMM of all ks taps'
-    # one-hot rows is ~8 ms faster (BLAS packs dzc once, not ks times) but
-    # holds a one-hot matrix ks times larger (2.2 MB more train VmHWM).
-    vocab = params.embedding.shape[0]
-    cols = np.arange(dzc.shape[0])
-    onehot = np.zeros((vocab, dzc.shape[0]))
-    dtable = np.empty((hp.ks, vocab, hp.nf))
-    for j in range(hp.ks):
-        if j:
-            onehot[sym[j - 1], cols] = 0.0
-        onehot[sym[j], cols] = 1.0
-        np.matmul(onehot, dzc, out=dtable[j])
-    embedding = dtable[0] @ params.conv_w[0].T
-    for j in range(1, hp.ks):
-        embedding += dtable[j] @ params.conv_w[j].T
-
-    g = ModelParams(
-        embedding=embedding,
-        conv_w=np.matmul(params.embedding.T, dtable),   # (ks, d, nf)
-        conv_b=dzc.sum(axis=0),
-        dense1_w=None,
-        dense1_b=dense1_b,
-        dense2_w=cache["a1"].T @ dz2,
-        dense2_b=np.array([dz2.sum()]),
-    )
-    return g, loss
+        g = ModelParams(
+            embedding=embedding,
+            conv_w=np.matmul(params.embedding.T, dtable),   # (ks, d, nf)
+            conv_b=dzc.sum(axis=0),
+            dense1_w=None,
+            dense1_b=dense1_b,
+            dense2_w=cache["a1"].T @ dz2,
+            dense2_b=np.array([dz2.sum()]),
+        )
+        return g, loss

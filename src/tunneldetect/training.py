@@ -31,6 +31,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+DEFAULT_FOLDS = 5  # k of k-fold cross-validation, in grid search too
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -111,12 +113,13 @@ def dense1_adam(params: ModelParams, state: AdamState) -> Callable[[int, np.ndar
     return update
 
 
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tuple[ModelParams, AdamState]:
-    """One bias-corrected Adam update, applied elementwise in place.
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> None:
+    """One bias-corrected Adam update of `params` and `state`, in place.
 
     Moves the step counter once. A block whose gradient is None is
-    skipped: backward_batch returns None for dense1_w when dense1_adam
-    has already applied this step to it.
+    skipped: backward_batch returns None for dense1_w, which dense1_adam
+    has already given this step; a whole dense1_w gradient is updated
+    like any other block.
     """
     blocks = list(zip(params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()))
     for (name, p), (_, g), (_, m), (_, v) in blocks:
@@ -129,7 +132,6 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState) -> tupl
     for (_, p), (_, g), (_, m), (_, v) in blocks:
         if g is not None:
             _adam(p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1), state.lr, state.t, scratch)
-    return params, state
 
 
 def train(
@@ -195,7 +197,7 @@ def kfold_cross_validate(
     dataset: Sequence[DomainSample],
     hp: Hyperparams,
     cfg: TrainConfig = TrainConfig(),
-    k: int = 5,
+    k: int = DEFAULT_FOLDS,
 ) -> tuple[float, float]:
     """Stratified k-fold CV; returns (mean, population sd) of the held-out
     tunneling-class F1 at threshold 0.5."""
@@ -224,7 +226,7 @@ def grid_search(
     dataset: Sequence[DomainSample],
     grid: Sequence[Hyperparams],
     cfg: TrainConfig = TrainConfig(),
-    k: int = 5,
+    k: int = DEFAULT_FOLDS,
 ) -> list[GridResult]:
     """Cross-validate every combination; results sorted by mean F1
     descending, ties broken by fewer parameters, then grid order."""

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from tunneldetect.network import Hyperparams, forward_batch, _mean_bce
+from tunneldetect.network import Hyperparams, backward_batch, forward_batch, _mean_bce
 from tunneldetect.tokenizer import PAD_IDX, VOCAB_SIZE
 
 
@@ -90,6 +90,20 @@ def dense_reference(params, hp, x, y):
         "dense2_b": np.array([dz2.sum()]),
     }
     return p, grads, _mean_bce(p, y)
+
+
+def gathered_backward(params, hp, x, y):
+    """backward_batch with a consumer that copies each dense1_w gradient
+    block into place; returns its gradients with the whole dense1_w
+    gradient attached, and its loss."""
+    dense1_w = np.empty(params.dense1_w.shape)
+
+    def gather(offset, block):
+        dense1_w.reshape(-1)[offset : offset + block.size] = block
+
+    grads, loss = backward_batch(params, hp, x, y, dense1_update=gather)
+    grads.dense1_w = dense1_w
+    return grads, loss
 
 
 def numeric_gradients(params, hp, x, y, h=1e-4):

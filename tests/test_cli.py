@@ -1,4 +1,7 @@
+import argparse
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -13,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tunneldetect import cli, datagen, evaluation
+from tunneldetect import cli, datagen, evaluation, training
 from tunneldetect.cli import main
 from tunneldetect.model_store import load, save
 from tunneldetect.tokenizer import encoding_key
@@ -126,15 +129,30 @@ class TestGenerateData:
         {"tunneling": {"iodine": 5}, "normal": {}, "apexes": [""]},
         {"tunneling": {"iodine": 5}, "normal": {}, "apexes": ["evil.com."]},
         {"tunneling": {"iodine": 5}, "normal": {}, "apexes": ["ex\u212aample.com"]},
+        {"tunneling": {"iodine": 4}, "normal": {"alexa-like": 4}, "apex": ["typo.example"]},
+        {"tunneling": {"iodine": 4}, "normal": {"alexa-like": 4}, "seeds": 9},
+        [],
+        7,
     ], ids=["counts-not-object", "top-level-list", "string-count", "float-count",
             "bool-count", "apexes-string", "float-seed", "string-seed", "bool-seed", "missing-normal",
-            "apex-bad-chars", "apex-blank", "apex-empty", "apex-trailing-dot", "apex-kelvin-sign"])
+            "apex-bad-chars", "apex-blank", "apex-empty", "apex-trailing-dot", "apex-kelvin-sign",
+            "unknown-key-apex", "unknown-key-seeds", "empty-list", "number"])
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, body):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(body))
         out = tmp_path / "corpus.csv"
         assert main(["generate-data", "--out", str(out), "--spec", str(spec)]) == 4
         assert str(spec) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_spec_key_is_named(self, tmp_path, capsys):
+        # a typo would otherwise leave the default apexes and seed in force
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"tunneling": {"iodine": 4}, "normal": {"alexa-like": 4},
+                                    "apex": ["typo.example"], "seeds": 9}))
+        out = tmp_path / "corpus.csv"
+        assert main(["generate-data", "--out", str(out), "--spec", str(spec)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: corpus spec {spec}: unknown key 'apex' ")
         assert not out.exists()
 
     @pytest.mark.parametrize("tunneling, error", [
@@ -745,6 +763,11 @@ class TestManifestHashing:
         assert main(["generate-data", "--out", str(corpus), "--per-class", "20",
                      "--normal-feed", f"alexa-like={feed}"]) == 0
         self.assert_digests(f"{corpus}.manifest.json", [feed], [corpus])
+        spec, spec_corpus = tmp_path / "spec.json", tmp_path / "spec.csv"
+        spec.write_text(json.dumps({"tunneling": {"iodine": 10}, "normal": {"alexa-like": 10}}))
+        assert main(["generate-data", "--out", str(spec_corpus), "--spec", str(spec),
+                     "--normal-feed", f"alexa-like={feed}"]) == 0
+        self.assert_digests(f"{spec_corpus}.manifest.json", [spec, feed], [spec_corpus])
         assert main(["train", "--corpus", str(corpus), "--out", str(model), "--hp", TOY_HP_FLAG, "--epochs", "1"]) == 0
         self.assert_digests(f"{model}.manifest.json", [corpus], [model])
         assert main(["evaluate", "--model", str(model), "--corpus", str(corpus),
@@ -810,6 +833,21 @@ class TestManifestHashing:
             env=env, check=True, capture_output=True, text=True,
         ).stdout
         assert out == "False\n"
+
+
+def test_flag_defaults_are_the_librarys():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    generate = parser.parse_args(["generate-data", "--out", "c.csv"])
+    assert generate.per_class == inspect.signature(datagen.desk_scale_spec).parameters["per_class"].default
+    seed_help = next(a.help for a in subparsers["generate-data"]._actions if a.dest == "seed")
+    assert seed_help == f"corpus seed (default {datagen.CorpusSpec.__dataclass_fields__['seed'].default})"
+    assert datagen.desk_scale_spec().seed == datagen.CorpusSpec({}, {}).seed
+    grid = parser.parse_args(["grid-search", "--corpus", "c.csv"])
+    for function in (training.kfold_cross_validate, training.grid_search):
+        assert grid.folds == inspect.signature(function).parameters["k"].default, function.__name__
+    for args in (parser.parse_args(["train", "--corpus", "c.csv", "--out", "m.bin"]), grid):
+        assert (args.epochs, args.batch, args.seed, args.lr) == dataclasses.astuple(training.TrainConfig()), args.subcommand
 
 
 def test_version_flag(capsys):

@@ -30,6 +30,7 @@ from oracles import (
     GRADCHECK_CASES,
     KINK_CLEARANCE,
     dense_reference,
+    gathered_backward,
     gradcheck_inputs,
     gradient_relative_error,
     naive_forward,
@@ -242,7 +243,7 @@ class TestDenseReference:
 
         want_p, want_grads, want_loss = dense_reference(params, hp, x, y)
         got_p = forward_batch(params, hp, x)
-        grads, loss = backward_batch(params, hp, x, y)
+        grads, loss = gathered_backward(params, hp, x, y)
 
         def close(got, want, what):
             assert np.abs(got - want).max() <= DENSE_REFERENCE_BOUND * np.abs(want).max(), what
@@ -274,7 +275,7 @@ class TestDenseReference:
         assert all(g.size == rows * hp.hn for _, g in blocks[:-1])
         got = np.concatenate([g for _, g in blocks]).reshape(want["dense1_w"].shape)
         assert np.abs(got - want["dense1_w"]).max() <= DENSE_REFERENCE_BOUND * np.abs(want["dense1_w"]).max()
-        gathered, _ = backward_batch(params, hp, x, y)
+        gathered, _ = gathered_backward(params, hp, x, y)
         np.testing.assert_array_equal(gathered.dense1_w, got)
 
 
@@ -299,11 +300,20 @@ class TestBceLoss:
         assert math.isfinite(_bce(1.0, 0))
 
 
+def _discard(offset, block):
+    """A dense1_update consumer for tests that read no dense1_w gradient."""
+
+
 class TestBackward:
+    def test_consumer_is_required(self, tiny_hp, tiny_model):
+        x = encode_batch(["test.org"], tiny_hp.l)
+        with pytest.raises(TypeError, match="dense1_update"):
+            backward_batch(tiny_model, tiny_hp, x, np.array([0.0]))
+
     def test_unreferenced_embedding_row_gets_zero_gradient(self, tiny_hp):
         params = init_params(tiny_hp, 2)
         x = np.full((1, tiny_hp.l), 2, dtype=np.int64)  # only index 2 used
-        grads, _ = backward_batch(params, tiny_hp, x, np.array([1.0]))
+        grads, _ = backward_batch(params, tiny_hp, x, np.array([1.0]), dense1_update=_discard)
         assert not grads.embedding[7].any()
         assert grads.embedding[2].any()
 
@@ -311,7 +321,7 @@ class TestBackward:
         full = init_params(tiny_hp, 6)
         params = dataclasses.replace(full, embedding=full.embedding[:3].copy())
         x = np.resize([0, 2], (2, tiny_hp.l))  # embedding row 1 unused
-        grads, _ = backward_batch(params, tiny_hp, x, np.array([0.0, 1.0]))
+        grads, _ = gathered_backward(params, tiny_hp, x, np.array([0.0, 1.0]))
         for (name, g), (_, p) in zip(grads.arrays(), params.arrays()):
             assert g.shape == p.shape, name
         assert grads.embedding.shape == (3, tiny_hp.d)
@@ -321,8 +331,8 @@ class TestBackward:
     def test_duplicate_batch_equals_single(self, tiny_hp):
         params = init_params(tiny_hp, 3)
         x = encode_batch(["abc123.example.com"], tiny_hp.l)
-        g1, l1 = backward_batch(params, tiny_hp, x, np.array([1.0]))
-        g2, l2 = backward_batch(params, tiny_hp, np.concatenate([x, x]), np.array([1.0, 1.0]))
+        g1, l1 = gathered_backward(params, tiny_hp, x, np.array([1.0]))
+        g2, l2 = gathered_backward(params, tiny_hp, np.concatenate([x, x]), np.array([1.0, 1.0]))
         assert l1 == pytest.approx(l2, rel=1e-12)
         for (name, a), (_, b) in zip(g1.arrays(), g2.arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-12, err_msg=name)
@@ -332,15 +342,15 @@ class TestBackward:
         params = loaded_float32(tiny_model, tiny_hp, tmp_path / "model.bin")
         x = encode_batch(["abc123.example.com"], tiny_hp.l)
         with pytest.raises(ValueError, match="float64"):
-            backward_batch(params, tiny_hp, x, np.array([1.0]))
+            backward_batch(params, tiny_hp, x, np.array([1.0]), dense1_update=_discard)
 
     def test_empty_batch_raises(self, tiny_hp, tiny_model):
         with pytest.raises(ValueError, match="nonempty"):
-            backward_batch(tiny_model, tiny_hp, np.zeros((0, tiny_hp.l), dtype=np.int64), np.zeros(0))
+            backward_batch(tiny_model, tiny_hp, np.zeros((0, tiny_hp.l), dtype=np.int64), np.zeros(0), dense1_update=_discard)
 
     def test_gradient_shapes_match_params(self, tiny_hp, tiny_model):
         x = encode_batch(["test.org"], tiny_hp.l)
-        grads, _ = backward_batch(tiny_model, tiny_hp, x, np.array([0.0]))
+        grads, _ = gathered_backward(tiny_model, tiny_hp, x, np.array([0.0]))
         for (name, g), (_, p) in zip(grads.arrays(), tiny_model.arrays()):
             assert g.shape == p.shape, name
 
@@ -349,7 +359,7 @@ class TestBackward:
         params = init_params(tiny_hp, 4)
         params.conv_b[0] = -1e6
         x = np.arange(tiny_hp.l, dtype=np.int64)[None, :] % 45
-        grads, _ = backward_batch(params, tiny_hp, x, np.array([1.0]))
+        grads, _ = backward_batch(params, tiny_hp, x, np.array([1.0]), dense1_update=_discard)
         assert not grads.conv_w[:, :, 0].any()
         assert grads.conv_b[0] == 0.0
 
@@ -358,7 +368,7 @@ class TestBackward:
         params = init_params(hp, seed)
         x, y = gradcheck_inputs(hp, batch_size, seed, lengths)
         assert relu_kink_clearance(params, hp, x) > KINK_CLEARANCE
-        analytic, _ = backward_batch(params, hp, x, y)
+        analytic, _ = gathered_backward(params, hp, x, y)
         numeric = numeric_gradients(params, hp, x, y)
         assert gradient_relative_error(analytic, numeric) < 1e-4
 
@@ -374,7 +384,7 @@ class TestBackward:
         windows = _forward_cached(params, hp, x)[1]["ac"].shape[0]
         tracemalloc.start()
         try:
-            backward_batch(params, hp, x, y, dense1_update=lambda offset, block: None)
+            backward_batch(params, hp, x, y, dense1_update=_discard)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -383,7 +393,7 @@ class TestBackward:
     def test_loss_matches_mean_bce(self, tiny_hp, tiny_model):
         x = encode_batch(["aaa.com", "zzz999.net"], tiny_hp.l)
         probs = forward_batch(tiny_model, tiny_hp, x)
-        _, loss = backward_batch(tiny_model, tiny_hp, x, np.array([0.0, 1.0]))
+        _, loss = backward_batch(tiny_model, tiny_hp, x, np.array([0.0, 1.0]), dense1_update=_discard)
         want = -(math.log(1.0 - probs[0]) + math.log(probs[1])) / 2
         assert loss == pytest.approx(want, rel=1e-12)
 
@@ -420,7 +430,7 @@ class TestDense1Worker:
         blocks = []
         grads, _ = backward_batch(*case, dense1_update=lambda offset, g: blocks.append(g.copy()))
         assert grads.dense1_w is None
-        np.testing.assert_array_equal(np.concatenate(blocks), backward_batch(*case)[0].dense1_w.reshape(-1))
+        np.testing.assert_array_equal(np.concatenate(blocks), gathered_backward(*case)[0].dense1_w.reshape(-1))
 
     def test_slow_consumer_has_finished_every_block_on_return(self, case):
         finished, threads = [], set()
@@ -444,7 +454,7 @@ class TestDense1Worker:
             for nf in (8, 64):  # dense1_w gradients of 2.6 and 21 blocks
                 hp = Hyperparams(nf=nf, ks=4, sl=1, d=8, l=45, hn=256)
                 x = encode_batch(["a1b2c3.example.com", "x" * 45], hp.l)
-                backward_batch(init_params(hp, 0), hp, x, np.array([1.0, 0.0]), dense1_update=lambda offset, block: None)
+                backward_batch(init_params(hp, 0), hp, x, np.array([1.0, 0.0]), dense1_update=_discard)
                 sizes.append(network._buffers.ring.size)
 
         thread = threading.Thread(target=run)
@@ -468,7 +478,7 @@ class TestDense1Worker:
             for _ in range(2):
                 tracemalloc.start()
                 try:
-                    backward_batch(params, hp, x, y, dense1_update=lambda offset, block: None)
+                    backward_batch(params, hp, x, y, dense1_update=_discard)
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
@@ -484,12 +494,12 @@ class TestDense1Worker:
         # three callers and the worker on two CPUs, switching threads as
         # often as the interpreter allows: a ring slot overwritten while
         # in flight, or a block handed to another caller, changes a gradient
-        want = backward_batch(*case)[0].dense1_w
+        want = gathered_backward(*case)[0].dense1_w
         got = [[] for _ in range(3)]
 
         def run(out):
             for _ in range(20):
-                out.append(backward_batch(*case)[0].dense1_w)
+                out.append(gathered_backward(*case)[0].dense1_w)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -526,7 +536,7 @@ class TestDense1Worker:
         class Boom(Exception):
             pass
 
-        want = backward_batch(*case)[0].dense1_w
+        want = gathered_backward(*case)[0].dense1_w
         got, stops = [[], []], []
 
         def failing():
@@ -545,7 +555,7 @@ class TestDense1Worker:
 
         def run(out):
             for _ in range(20):
-                out.append(backward_batch(*case)[0].dense1_w)
+                out.append(gathered_backward(*case)[0].dense1_w)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

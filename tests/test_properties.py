@@ -1,6 +1,12 @@
 """Hypothesis property tests over arbitrary inputs."""
 
+import contextlib
+import io
+import json
+import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +14,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tunneldetect import model_store
-from tunneldetect.datagen import CSV_HEADER, LABEL_NORMAL, DomainSample, read_corpus
+from tunneldetect.cli import main
+from tunneldetect.datagen import (
+    CSV_HEADER,
+    LABEL_NORMAL,
+    LABEL_TUNNELING,
+    NORMAL_WEIGHTS,
+    TUNNELING_WEIGHTS,
+    DomainSample,
+    read_corpus,
+)
 from tunneldetect.evaluation import SCORE_CHUNK, score
 from tunneldetect.hostnames import MAX_LABEL_LEN, MAX_NAME_LEN, is_plausible_hostname
 from tunneldetect.logparse import FORMATS, parse_line
@@ -227,3 +242,171 @@ def test_load_of_arbitrary_bytes_fails_only_with_format_errors(model_path, data)
 @given(_edits)
 def test_load_of_mutated_model_fails_only_with_format_errors(model_path, small_model_bytes, edits):
     _assert_loads_or_format_error(model_path, _mutate(small_model_bytes, edits))
+
+
+
+
+# The CLI driven whole: each subcommand on small drawn files and flags.
+# Every hyperparameter is at most 8, a corpus at most 20 rows and
+# training one epoch, so no example allocates much or runs long. "@/"
+# in an argument stands for the example's directory.
+
+_CLI_MODEL_HP = Hyperparams(nf=4, ks=3, sl=1, d=4, l=8, hn=4)
+# The inputs and flags of each subcommand that an example may spoil
+_CLI_FAULTS = {
+    "generate-data": ["spec", "size", "--per-class", "--seed", "--apex", "--normal-feed"],
+    "train": ["corpus", "--hp", "--epochs", "--batch", "--lr", "--seed"],
+    "grid-search": ["corpus", "grid", "--folds", "--epochs", "--batch", "--lr", "--seed"],
+    "evaluate": ["model", "corpus", "--threshold"],
+    "classify": ["model", "--threshold", "--apex"],
+}
+_apexes = st.sampled_from(["exfiltest.com", "Case.Example", "a.io"])
+_bad_apexes = st.sampled_from(["bad apex!", "", "a..b", "\u00e4.com"])
+_row_names = st.text(st.sampled_from("az09-"), min_size=1, max_size=8).map(lambda s: s + ".com")
+
+
+@st.composite
+def _hp_line(draw):
+    """Hyperparameters from 1 to 8, the kernel within the sequence."""
+    l = draw(st.integers(1, 8))
+    nf, ks, sl, d, hn = (draw(st.integers(1, top)) for top in (8, l, 8, 8, 8))
+    return f"nf={nf} ks={ks} sl={sl} d={d} l={l} hn={hn}"
+
+
+_bad_hp_line = st.one_of(
+    st.text(max_size=20),
+    st.sampled_from(["nf=0 ks=1 sl=1 d=1 l=1 hn=1", "nf=1 ks=5 sl=1 d=1 l=4 hn=1", "nf=1 ks=1", "nf=x"]),
+)
+_spec = st.fixed_dictionaries(
+    {
+        "tunneling": st.dictionaries(st.sampled_from(sorted(TUNNELING_WEIGHTS)), st.integers(0, 8), max_size=2),
+        "normal": st.dictionaries(st.sampled_from(sorted(NORMAL_WEIGHTS)), st.integers(0, 8), max_size=2),
+    },
+    optional={"apexes": st.lists(_apexes, min_size=1, max_size=2), "seed": st.integers(0, 2**33)},
+)
+_bad_spec = st.one_of(
+    st.sampled_from(["", "{", "\x00", "[]", '"text"', "7", "null"]),
+    st.one_of(
+        _spec.map(lambda spec: {**spec, "tunneling": {"bogus": 1}}),
+        _spec.map(lambda spec: {**spec, "normal": {"bogus-like": 1}}),
+        _spec.map(lambda spec: {**spec, "tunneling": {"iodine": -1}}),
+        _spec.map(lambda spec: {**spec, "normal": {"cz-like": True}}),
+        _spec.map(lambda spec: {**spec, "tunneling": [1]}),
+        st.tuples(_spec, st.lists(_bad_apexes, max_size=2)).map(lambda t: {**t[0], "apexes": t[1]}),
+        st.tuples(_spec, st.sampled_from([-1, "7", 7.0, True, None])).map(lambda t: {**t[0], "seed": t[1]}),
+        st.tuples(_spec, st.sampled_from(["apex", "seeds", ""])).map(lambda t: {**t[0], t[1]: 1}),
+        _spec.map(lambda spec: {k: v for k, v in spec.items() if k != "normal"}),
+    ).map(json.dumps),
+)
+_bad_rows = st.sampled_from([
+    ["a b.com", LABEL_NORMAL, "none", "synthetic"],
+    ["x.com", "bogus", "none", "synthetic"],
+    ["x.com", LABEL_NORMAL, "iodine", "synthetic"],
+    ["x.com", LABEL_TUNNELING, "none", "synthetic"],
+    ["x.com", LABEL_NORMAL],
+    ['"x.com', LABEL_NORMAL, "none", "synthetic"],
+])
+
+
+@st.composite
+def _cli_runs(draw, command, fault):
+    """argv of `command`, the text of each file in its directory, the
+    edits that spoil its model file, and the files it may write. Only
+    the input or flag named by `fault`, if any, takes a bad value."""
+
+    def pick(name, good, bad):
+        return draw(bad if fault == name else good)
+
+    def flag(name, good, bad):
+        """[] or [name, a good value]; [name, a bad value] for the fault."""
+        return [name, draw(bad)] if fault == name else draw(st.one_of(st.just([]), good.map(lambda v: [name, v])))
+
+    kinds = st.sampled_from([(LABEL_NORMAL, "none"), (LABEL_TUNNELING, "iodine")])
+    rows = [[name, *kind, "synthetic"] for name, kind in draw(st.lists(st.tuples(_row_names, kinds), min_size=1, max_size=20))]
+    corpus_path = "@/corpus.csv"
+    if fault == "corpus":
+        spoil = draw(st.sampled_from(["row", "text", "absent", "empty"]))
+        rows = {"row": rows[:19] + [draw(_bad_rows)], "empty": []}.get(spoil, rows)
+        corpus_path = "@/absent.csv" if spoil == "absent" else corpus_path
+    files = {
+        "spec.json": json.dumps(draw(_spec)) if fault != "spec" else draw(_bad_spec),
+        "corpus.csv": "".join(",".join(row) + "\n" for row in [CSV_HEADER, *rows]),
+        "grid.txt": "\n".join(draw(st.lists(_hp_line(), min_size=1, max_size=3))
+                              + ([draw(_bad_hp_line)] if fault == "grid" else [])),
+        "log.txt": "\n".join(draw(st.lists(st.one_of(_log_text, _row_names), max_size=20))),
+        "feed.txt": "\n".join(draw(st.lists(st.one_of(_log_text, _row_names), max_size=20))),
+    }
+    if fault == "corpus" and spoil == "text":
+        files["corpus.csv"] = draw(st.text(max_size=40))
+    model_edits = draw(_edits) if fault == "model" else []
+
+    corpus = ["--corpus", corpus_path]
+    training = [
+        *flag("--epochs", st.just("1"), st.sampled_from(["0", "-1", "x"])),
+        *flag("--batch", st.integers(1, 8).map(str), st.sampled_from(["0", "-1", "x"])),
+        *flag("--lr", st.just("0.01"), st.sampled_from(["0", "-1", "nan", "inf", "1e300"])),
+        *flag("--seed", st.integers(0, 2**33).map(str), st.sampled_from(["-1", "x"])),
+    ]
+    training += [] if "--epochs" in training else ["--epochs", "1"]
+    threshold = flag("--threshold", st.sampled_from(["0.5", "0.9"]), st.sampled_from(["0", "1", "nan", "x"]))
+    outputs = []
+    if command == "generate-data":
+        outputs = ["@/out.csv"]
+        size = "--spec" if fault == "spec" else pick("size", st.sampled_from(["--per-class", "--spec"]), st.just("both"))
+        argv = ["--out", *outputs]
+        if size != "--spec":
+            argv += ["--per-class", pick("--per-class", st.integers(0, 8).map(str), st.sampled_from(["-1", "x"]))]
+        argv += ["--spec", "@/spec.json"] if size != "--per-class" else []
+        argv += flag("--seed", st.integers(0, 2**33).map(str), st.sampled_from(["-1", "x"]))
+        argv += flag("--apex", _apexes, _bad_apexes)
+        argv += flag("--normal-feed", st.sampled_from(["alexa-like=@/feed.txt", "cz-like=@/feed.txt"]),
+                     st.sampled_from(["bogus=@/feed.txt", "alexa-like=@/absent.txt", "alexa-like"]))
+    elif command == "train":
+        outputs = ["@/model-out.bin"]
+        argv = [*corpus, "--out", *outputs, "--hp", pick("--hp", _hp_line(), _bad_hp_line), *training]
+    elif command == "grid-search":
+        outputs = draw(st.sampled_from([[], ["@/report.json"]]))
+        argv = [*corpus, "--grid", "@/grid.txt", *training,
+                *flag("--folds", st.sampled_from(["2", "3"]), st.sampled_from(["-1", "0", "1", "8"]))]
+        argv += ["--report", *outputs] if outputs else []
+    elif command == "evaluate":
+        argv = ["--model", "@/model.bin", *corpus, *threshold]
+        for name in draw(st.lists(st.sampled_from(["--report", "--scatter"]), unique=True)):
+            outputs.append(f"@/{name[2:]}.out")
+            argv += [name, outputs[-1]]
+    else:
+        argv = ["--model", "@/model.bin", "--input", "@/log.txt", "--format", draw(st.sampled_from(["plain", "dnsmasq", "bind"])),
+                *threshold, *flag("--apex", _apexes, _bad_apexes)]
+    return [command, *argv], files, model_edits, outputs
+
+
+@pytest.fixture(scope="module")
+def cli_model_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "model.bin"
+    model_store.save(init_params(_CLI_MODEL_HP, seed=2), _CLI_MODEL_HP, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("command, fault", [(c, f) for c, faults in _CLI_FAULTS.items() for f in [None, *faults]])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_cli_exits_only_with_documented_codes(cli_model_bytes, command, fault, data):
+    """Exit 0, 2, 3 or 4, never a traceback, and a failed run writes no
+    file."""
+    argv, files, model_edits, outputs = data.draw(_cli_runs(command, fault))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        Path(tmp, "model.bin").write_bytes(_mutate(cli_model_bytes, model_edits) if model_edits else cli_model_bytes)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([arg.replace("@/", tmp + os.sep) for arg in argv])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            assert all(Path(tmp, out[2:]).exists() for out in outputs)
+        else:  # no output, no manifest
+            assert sorted(os.listdir(tmp)) == sorted([*files, "model.bin"]), (code, stderr.getvalue())

@@ -30,6 +30,7 @@ from tunneldetect.training import (
 from tunneldetect.network import forward_batch
 
 from conftest import CONV_HPS, CONV_IDS, make_separable_corpus
+from oracles import gathered_backward
 
 
 class TestCountParameters:
@@ -80,7 +81,7 @@ class TestAdamStep:
         grads = ModelParams.zeros_like(params)
         grads.dense2_b[0] = 1.0
         state = AdamState.fresh(params)
-        adam_step(params, grads, state)
+        assert adam_step(params, grads, state) is None  # the update is in place
         assert params.dense2_b[0] == pytest.approx(-0.001, rel=1e-6)
 
     def test_momentum_keeps_moving_after_gradient_stops(self):
@@ -166,7 +167,8 @@ class TestAdamStep:
 def _training_steps(hp, fused, steps, batch=12):
     """`steps` Adam steps from a fresh model on random batches of names
     of random lengths; with `fused`, dense1_w is updated inside
-    backward_batch by dense1_adam, else from the whole gradient."""
+    backward_batch by dense1_adam, else from the whole gradient that
+    gathered_backward returns."""
     rng = np.random.default_rng(31)
     params = init_params(hp, seed=8)
     state = AdamState.fresh(params)
@@ -176,7 +178,7 @@ def _training_steps(hp, fused, steps, batch=12):
         for row, n in zip(x, rng.integers(0, hp.l + 1, size=batch)):
             row[n:] = PAD_IDX
         y = rng.integers(0, 2, size=batch).astype(float)
-        grads, _ = backward_batch(params, hp, x, y, dense1_update=update)
+        grads, _ = backward_batch(params, hp, x, y, dense1_update=update) if fused else gathered_backward(params, hp, x, y)
         assert (grads.dense1_w is None) == fused
         adam_step(params, grads, state)
     return params, state
@@ -219,7 +221,7 @@ class TestFusedStep:
     def test_train_equals_unfused_train(self, monkeypatch, separable_corpus):
         cfg = TrainConfig(epochs=2, batch_size=32, seed=9)
         fused = train(separable_corpus, TOY_HP, cfg)
-        monkeypatch.setattr(training, "backward_batch", lambda *args, dense1_update: backward_batch(*args))
+        monkeypatch.setattr(training, "backward_batch", lambda *args, dense1_update: gathered_backward(*args))
         unfused = train(separable_corpus, TOY_HP, cfg)
         for (name, a), (_, b) in zip(fused.arrays(), unfused.arrays()):
             np.testing.assert_array_equal(a, b, err_msg=name)
