@@ -28,6 +28,17 @@ backward the all-PAD window carries the sum of dz1 over the rows dead
 at that position. The result is exact for any input (a PAD window
 inside a name stays live) up to summation order.
 
+Scoring goes one step further when one position's dense1 block is at
+least a cache block (nf * hn >= CACHE_BLOCK, as at every configuration
+of the default grid): it computes each distinct window of a position
+once, conv row and dense1 product alike, and hands every packed window
+its row through an inverse index. Names from one tool put their apex
+at fixed offsets and normal names share prefixes and TLDs, so about a
+third of a reference chunk's windows repeat. Below that size, sorting
+the windows costs more than the repeats save. Training keeps one row
+per packed window: backward reads each window's own activation row,
+and summing dz1 over repeats would change its bits.
+
 dense1_w holds almost all the weights (11.0 M of 11.4 M at the
 reference configuration). backward_batch forms its gradient one
 cache-sized block at a time and hands each block to the consumer its
@@ -225,6 +236,15 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, t
     backward_batch's to consume: it overwrites cache["ac"] with the
     gradient of the conv output. With `training` (float64 weights only),
     cache["ac"] is a view of this thread's reused activations buffer.
+
+    Without `training`, and when nf * hn >= CACHE_BLOCK (read at each
+    call), the conv and each position's dense1 GEMM run over that
+    position's distinct packed windows only, found by one lexsort on
+    (position, taps) in the narrowest integer types that hold them (no
+    packed code, which would overflow int64 from ks = 12 on). cache["ac"]
+    then holds one row per distinct window, position by position, and
+    z1 still sums the packed windows' products in packed order: only a
+    GEMM over fewer rows may round a row differently.
     """
     xb = np.atleast_2d(np.asarray(x_batch))
     if xb.shape[-1] != hp.l:
@@ -235,17 +255,38 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, t
     batch = xb.shape[0]
     order, live, blocks, sym = _pack(xb, hp)
 
+    # the conv computes the windows in `conv`; position p's dense1 GEMM
+    # reads rows dense[p] of ac, and packed window i row inv[i] of that
+    # GEMM's output (with inv None, every packed window has its own row)
+    conv, dense, inv = sym, [(lo, m) for lo, _, m in blocks], None
+    if not training and hp.nf * hp.hn >= CACHE_BLOCK:
+        # each position's distinct windows once: sort the packed windows by
+        # (position, taps), keys in the narrowest types that hold them
+        positions = hp.conv_out_len
+        at = np.repeat(np.arange(positions, dtype=np.min_scalar_type(positions - 1)), [m for _, m in dense])
+        taps = sym.astype(np.min_scalar_type(vocab - 1))
+        srt = np.lexsort((*taps, at))
+        at_s, taps_s = at[srt], taps[:, srt]
+        new = np.ones(srt.size, dtype=bool)  # first of its run of equal windows
+        new[1:] = (at_s[1:] != at_s[:-1]) | (taps_s[:, 1:] != taps_s[:, :-1]).any(axis=0)
+        counts = np.bincount(at_s[new], minlength=positions)
+        starts = np.cumsum(counts) - counts
+        inv = np.empty(srt.size, dtype=np.intp)
+        inv[srt] = np.cumsum(new) - 1
+        inv -= starts[at]
+        conv, dense = sym[:, srt[new]], list(zip(starts.tolist(), counts.tolist()))
+
     dtype = params.dense1_w.dtype
     table = np.matmul(params.embedding, params.conv_w)  # (ks, vocab, nf)
-    shape = (sym.shape[1], hp.nf)
+    shape = (conv.shape[1], hp.nf)
     ac = _buffer("ac", math.prod(shape)).reshape(shape) if training else np.empty(shape, dtype)
     # blocks of windows small enough to stay in cache while their taps add up
     rows = max(1, CACHE_BLOCK // hp.nf)
     for r in range(0, ac.shape[0], rows):
         block = ac[r : r + rows]
-        block[...] = table[0][sym[0, r : r + rows]]
+        block[...] = table[0][conv[0, r : r + rows]]
         for j in range(1, hp.ks):
-            block += table[j][sym[j, r : r + rows]]
+            block += table[j][conv[j, r : r + rows]]
         block += params.conv_b
         np.maximum(block, 0.0, out=block)
 
@@ -255,11 +296,12 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, t
     out = np.empty((batch, hp.hn), dtype)
     # pad[p] is the all-PAD window times W1[p]; pad[P] = 0 serves rows live throughout
     pad = np.zeros((hp.conv_out_len + 1, hp.hn), dtype)
-    for p, (lo, k, m) in enumerate(blocks):
-        np.matmul(ac[lo : lo + m], w1[p], out=out[:m])
-        z1[:k] += out[:k]
+    for p, ((lo, k, m), (dlo, dm)) in enumerate(zip(blocks, dense)):
+        np.matmul(ac[dlo : dlo + dm], w1[p], out=out[:dm])
+        prod = out[:m] if inv is None else out[inv[lo : lo + m]]
+        z1[:k] += prod[:k]
         if m > k:
-            pad[p] = out[k]
+            pad[p] = prod[k]
     z1 += np.cumsum(pad[::-1], axis=0)[::-1][live]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.dense2_w + params.dense2_b[0]  # (B,)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -146,8 +147,11 @@ def train(
     if given, receives (epoch, mean epoch loss) after each epoch. A step
     whose loss is not finite raises ValueError naming its epoch and
     step: the loss is clipped, so it is NaN only once the weights are.
-    Steps run without numpy's overflow and invalid-value warnings, so
-    divergence reports only that error.
+    The loss does not see the last step's update, so after that step a
+    weight that is not finite or lies beyond float32's range (which
+    load enforces when evaluate and classify read the model) raises
+    ValueError too. Steps run without numpy's overflow and invalid-value
+    warnings, so divergence reports only that error.
     """
     if len({s.label for s in dataset}) < 2:
         raise ValueError("training requires samples from both classes")
@@ -173,23 +177,35 @@ def train(
             total += loss * len(idx)
         if progress is not None:
             progress(epoch, total / n)
+    for name, p in params.arrays():
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(np.float32(np.maximum(p.max(), -p.min()))):
+                raise ValueError(
+                    f"training diverged: {name} holds a weight that is not finite or lies beyond the range of "
+                    f"float32 after epoch {epoch}, step {step} (learning rate {cfg.lr})"
+                )
     return params
 
 
 def stratified_folds(labels: Sequence[str], k: int, seed: int) -> list[list[int]]:
-    """Partition indices into k folds, dealing each class round-robin so
-    every fold's class counts are within 1 of an even split."""
+    """Partition indices into k folds, dealing each class round-robin,
+    from the fold after the one where the previous class stopped. Every
+    fold's class counts are within 1 of an even split, and fold sizes
+    differ by at most 1. While each class's count is a multiple of k,
+    the next class starts at fold 0."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > len(labels):
         raise ValueError(f"k={k} exceeds dataset size {len(labels)}")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
+    start = 0
     for label in sorted(set(labels)):
         idx = np.array([i for i, lbl in enumerate(labels) if lbl == label])
         idx = idx[rng.permutation(len(idx))]
         for j, i in enumerate(idx):
-            folds[j % k].append(int(i))
+            folds[(start + j) % k].append(int(i))
+        start = (start + len(idx)) % k
     return folds
 
 
@@ -200,8 +216,17 @@ def kfold_cross_validate(
     k: int = DEFAULT_FOLDS,
 ) -> tuple[float, float]:
     """Stratified k-fold CV; returns (mean, population sd) of the held-out
-    tunneling-class F1 at threshold 0.5."""
-    folds = stratified_folds([s.label for s in dataset], k, cfg.seed)
+    tunneling-class F1 at threshold 0.5. Raises ValueError before any
+    training when some fold holds every sample of a class, so that its
+    training split would lack the class."""
+    labels = [s.label for s in dataset]
+    folds = stratified_folds(labels, k, cfg.seed)
+    counts = Counter(labels)
+    for held_out in folds:
+        held = Counter(labels[i] for i in held_out)
+        if any(held[label] == n for label, n in counts.items()):
+            per_class = ", ".join(f"{label} {n}" for label, n in sorted(counts.items()))
+            raise ValueError(f"{k}-fold cross-validation leaves a training split without a class (class counts: {per_class})")
     scores = []
     for held_out in folds:
         val_set = set(held_out)

@@ -320,6 +320,24 @@ class TestTrain:
         assert not out.exists()
         assert not (tmp_path / "m.bin.manifest.json").exists()
 
+    def test_last_update_beyond_float32_is_not_saved(self, tmp_path, capsys):
+        # one step: no later loss sees its update, which leaves weights near
+        # ±1e300, finite in float64 but beyond what evaluate and classify load
+        corpus, out = tmp_path / "c.csv", tmp_path / "m.bin"
+        write_toy_corpus(corpus, total=20)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--corpus", str(corpus), "--out", str(out), "--hp", TOY_HP_FLAG,
+                       "--epochs", "1", "--batch", "32", "--lr", "1e300"])
+        assert rc == 4
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("epoch   1/1  mean loss "), err
+        assert err[1].startswith("error: training diverged: embedding holds a weight that is not finite or lies beyond")
+        assert err[1].endswith("after epoch 1, step 1 (learning rate 1e+300)")
+        assert not out.exists()
+        assert not (tmp_path / "m.bin.manifest.json").exists()
+
     def test_divergence_prints_only_its_error(self, tmp_path, toy_corpus_file, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -698,6 +716,44 @@ class TestGridSearch:
         assert not report_path.exists()
         assert not (tmp_path / "grid.json.manifest.json").exists()
 
+    def test_fold_model_beyond_float32_is_data_error(self, tmp_path, capsys):
+        corpus, grid, report_path = tmp_path / "c.csv", tmp_path / "grid.txt", tmp_path / "grid.json"
+        write_toy_corpus(corpus, total=20)
+        grid.write_text(TOY_HP_FLAG + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["grid-search", "--corpus", str(corpus), "--grid", str(grid), "--folds", "2",
+                       "--epochs", "1", "--batch", "32", "--lr", "1e300", "--report", str(report_path)])
+        assert rc == 4
+        assert caught == []
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged: "), err
+        assert "after epoch 1, step 1" in err[0]
+        assert captured.out == ""
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("normal, tunneling, folds, rc", [(4, 2, 5, 0), (2, 1, 3, 4)])
+    def test_small_corpus_folds(self, tmp_path, capsys, normal, tunneling, folds, rc):
+        # 4 + 2 names fill 5 folds; a class of one name cannot be in every training split
+        corpus, grid, report_path = tmp_path / "c.csv", tmp_path / "grid.txt", tmp_path / "grid.json"
+        samples = make_separable_corpus(max(normal, tunneling), seed=1)
+        datagen.write_corpus(
+            [s for s in samples if s.label == datagen.LABEL_NORMAL][:normal]
+            + [s for s in samples if s.label == datagen.LABEL_TUNNELING][:tunneling],
+            corpus,
+        )
+        grid.write_text(TOY_HP_FLAG + "\n")
+        assert main(["grid-search", "--corpus", str(corpus), "--grid", str(grid), "--folds", str(folds),
+                     "--epochs", "1", "--report", str(report_path)]) == rc
+        if rc:
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: {folds}-fold cross-validation leaves a training split without a class "
+                           f"(class counts: normal {normal}, tunneling {tunneling})"]
+            assert not report_path.exists()
+        else:
+            assert len(json.loads(report_path.read_text())) == 1
+
     @pytest.mark.parametrize("lr", ["nan", "-0.5"])
     def test_bad_learning_rate_is_data_error(self, tmp_path, toy_corpus_file, lr):
         report_path = tmp_path / "grid.json"
@@ -709,6 +765,27 @@ class TestGridSearch:
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_evaluate_and_classify_leave_out_numpy_ma(tmp_path, toy_corpus_file, toy_model_file):
+    # its import takes 9-17 ms of the process that first needs it
+    names = tmp_path / "names.txt"
+    names.write_text("example.com\nnq7zzk3aomvsxe2lpnzssa3d.exfiltest.com\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "from tunneldetect.cli import main\n"
+        "model, corpus, report, names = sys.argv[1:]\n"
+        "assert main(['evaluate', '--model', model, '--corpus', corpus, '--report', report]) == 0\n"
+        "assert main(['classify', '--model', model, '--input', names]) == 0\n"
+        "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    err = subprocess.run(
+        [sys.executable, "-c", code, str(toy_model_file), str(toy_corpus_file), str(tmp_path / "r.json"), str(names)],
+        env=env, check=True, capture_output=True, text=True,
+    ).stderr
+    assert err.splitlines()[-1] == "False"
 
 
 class TestBlasThreads:

@@ -37,6 +37,7 @@ from oracles import (
     numeric_gradients,
     relu_kink_clearance,
 )
+from test_evaluation import SCORE_BATCH_BOUND, SCORE_BATCH_BOUND_F32
 
 
 def packed_windows(cache):
@@ -232,7 +233,7 @@ class TestDenseReference:
         [0, "full", "hole", 1, 2, 7, 3, "full", 0, 4],
         [0, 0, 0],
     ], ids=["one-row", "one-all-pad-row", "one-full-row", "mixed", "all-pad"])
-    def test_probabilities_and_gradients(self, hp, lengths):
+    def test_probabilities_and_gradients(self, hp, lengths, monkeypatch):
         rng = np.random.default_rng(15)
         params = init_params(hp, seed=6)
         params.conv_b[:] = rng.normal(0, 0.3, size=hp.nf)
@@ -243,12 +244,16 @@ class TestDenseReference:
 
         want_p, want_grads, want_loss = dense_reference(params, hp, x, y)
         got_p = forward_batch(params, hp, x)
+        with monkeypatch.context() as patch:
+            force_distinct_windows(patch, hp)
+            distinct_p = forward_batch(params, hp, x)
         grads, loss = gathered_backward(params, hp, x, y)
 
         def close(got, want, what):
             assert np.abs(got - want).max() <= DENSE_REFERENCE_BOUND * np.abs(want).max(), what
 
         close(got_p, want_p, "probabilities")
+        close(distinct_p, want_p, "probabilities, each distinct window once")
         close(np.array([loss]), np.array([want_loss]), "loss")
         for name, g in grads.arrays():
             close(g, want_grads[name], name)
@@ -277,6 +282,106 @@ class TestDenseReference:
         assert np.abs(got - want["dense1_w"]).max() <= DENSE_REFERENCE_BOUND * np.abs(want["dense1_w"]).max()
         gathered, _ = gathered_backward(params, hp, x, y)
         np.testing.assert_array_equal(gathered.dense1_w, got)
+
+
+def force_distinct_windows(monkeypatch, hp):
+    """Make the scoring forward of `hp` compute each distinct window of a
+    position once: one position's dense1 block is then a cache block."""
+    assert hp.nf * hp.hn < network.CACHE_BLOCK  # else it already does
+    monkeypatch.setattr(network, "CACHE_BLOCK", hp.nf * hp.hn)
+
+
+def distinct_windows(hp, x):
+    """The distinct (position, window) pairs over every row and position
+    of `x`, dead windows included: a dead window is the all-PAD window
+    that the packed layout holds once per position with dead rows."""
+    return {
+        (p, tuple(row[p * hp.sl : p * hp.sl + hp.ks].tolist()))
+        for row in x
+        for p in range(hp.conv_out_len)
+    }
+
+
+def _repeating_batch(hp, case, rng):
+    """A batch whose windows repeat at the same positions."""
+    if case == "copies":
+        return encode_batch(["a1b2c3d4.t.example.com"] * 256, hp.l)
+    if case == "shared-apex":
+        labels = ["".join(rng.choice(list("abc0123"), size=n)) for n in rng.integers(1, 9, size=64)]
+        return encode_batch([f"{label}.t.exfil.com" for label in labels], hp.l)
+    if case == "holes-and-empty":
+        holes = _rows_of_lengths(hp, ["hole", "hole", 0, hp.l, 3, 3], rng)
+        return np.vstack([holes, encode_batch(["", "example.com", "example.com", ""], hp.l)])
+    assert case == "one-row"
+    return encode_batch(["example.com"], hp.l)
+
+
+class TestDistinctWindows:
+    """Scoring computes each distinct window of a position once when one
+    position's dense1 block (nf * hn) is at least CACHE_BLOCK. Its
+    probabilities equal the forward over every packed window within
+    score's batch bound, in float64 and float32; training's forward keeps
+    one row per packed window, which backward reads."""
+
+    @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("case", ["copies", "shared-apex", "holes-and-empty", "one-row"])
+    def test_probabilities_match_the_per_window_forward(self, hp, dtype, case, monkeypatch, tmp_path):
+        rng = np.random.default_rng(17)
+        params = init_params(hp, seed=8)
+        params.conv_b[:] = rng.normal(0, 0.3, size=hp.nf)
+        params.dense1_b[:] = rng.normal(0, 0.3, size=hp.hn)
+        if dtype == np.float32:
+            params = loaded_float32(params, hp, tmp_path / "model.bin")
+        x = _repeating_batch(hp, case, rng)
+        want = forward_batch(params, hp, x)
+        force_distinct_windows(monkeypatch, hp)
+        got, cache = _forward_cached(params, hp, x)
+        assert cache["ac"].shape[0] == len(distinct_windows(hp, x))
+        bound = SCORE_BATCH_BOUND if dtype == np.float64 else SCORE_BATCH_BOUND_F32
+        assert np.abs(got - want).max() <= bound
+
+    @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
+    def test_copies_of_one_name_forward_one_window_per_position(self, hp, monkeypatch):
+        # at most one live window and the all-PAD window per position
+        x = encode_batch(["a1b2c3d4.t.example.com"] * 256, hp.l)
+        force_distinct_windows(monkeypatch, hp)
+        _, cache = _forward_cached(init_params(hp, seed=8), hp, x)
+        assert cache["ac"].shape[0] <= hp.conv_out_len + 1
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    def test_kernel_as_long_as_the_sequence(self, dtype, monkeypatch, tmp_path):
+        # nf * hn is exactly CACHE_BLOCK, so scoring takes the path unpatched;
+        # 45 symbols over 45 taps are far more windows than an int64 code holds
+        hp = Hyperparams(nf=256, ks=45, sl=1, d=4, l=45, hn=128)
+        assert hp.nf * hp.hn == network.CACHE_BLOCK and hp.conv_out_len == 1
+        params = init_params(hp, seed=9)
+        if dtype == np.float32:
+            params = loaded_float32(params, hp, tmp_path / "model.bin")
+        names = ["a" * 44 + c for c in "bcdefghijklmnopqrstuvwxyz0123456789"] * 3 + ["b" + "a" * 44, ""]
+        x = encode_batch(names, hp.l)
+        got, cache = _forward_cached(params, hp, x)
+        assert cache["ac"].shape[0] == len(set(names)) == len(distinct_windows(hp, x))
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "CACHE_BLOCK", hp.nf * hp.hn + 1)
+            want, per_window = _forward_cached(params, hp, x)
+        assert per_window["ac"].shape[0] == len(x)
+        bound = SCORE_BATCH_BOUND if dtype == np.float64 else SCORE_BATCH_BOUND_F32
+        assert np.abs(got - want).max() <= bound
+
+    @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
+    def test_training_forward_keeps_every_packed_window(self, hp, monkeypatch):
+        x = encode_batch(["a1b2c3d4.t.example.com"] * 16, hp.l)
+        force_distinct_windows(monkeypatch, hp)
+        _, cache = _forward_cached(init_params(hp, seed=8), hp, x, training=True)
+        assert cache["ac"].shape[0] == sum(m for _, _, m in cache["blocks"])
+
+    def test_small_models_score_every_packed_window(self):
+        # below CACHE_BLOCK the sort would cost more than the repeats save
+        hp = CONV_HPS[1]
+        x = encode_batch(["a1b2c3d4.t.example.com"] * 16, hp.l)
+        _, cache = _forward_cached(init_params(hp, seed=8), hp, x)
+        assert cache["ac"].shape[0] == sum(m for _, _, m in cache["blocks"])
 
 
 def _bce(p, y):

@@ -317,6 +317,33 @@ class TestTrain:
         with pytest.raises(ValueError, match="both classes"):
             train(corpus, TOY_HP, TrainConfig(epochs=1, seed=0))
 
+    def test_last_update_beyond_float32_raises(self):
+        # the loss of a step is computed before its update, so only the
+        # check after the last step sees that update's weights near ±1e300
+        cfg = TrainConfig(epochs=1, batch_size=256, seed=4, lr=1e300)
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"diverged: .* beyond the range of float32 after epoch 1, step 1 "
+        ):
+            train(make_separable_corpus(100, seed=2), TOY_HP, cfg)
+
+    def test_weights_within_float32_are_kept(self, monkeypatch):
+        # the largest float32 passes; a non-finite weight does not
+        corpus = make_separable_corpus(10, seed=2)
+        cfg = TrainConfig(epochs=1, batch_size=256, seed=4)
+        real_adam_step = training.adam_step
+        for value, ok in ((float(np.finfo(np.float32).max), True), (-float(np.finfo(np.float32).max), True),
+                          (float("nan"), False), (1e39, False), (-1e39, False)):
+            def adam_then_set(params, grads, state):
+                real_adam_step(params, grads, state)
+                params.dense2_b[0] = value
+
+            monkeypatch.setattr(training, "adam_step", adam_then_set)
+            if ok:
+                assert train(corpus, TOY_HP, cfg).dense2_b[0] == value
+            else:
+                with pytest.raises(ValueError, match="dense2_b holds a weight that is not finite"):
+                    train(corpus, TOY_HP, cfg)
+
 
 class TestStratifiedFolds:
     def test_partition(self, separable_corpus):
@@ -371,6 +398,34 @@ class TestStratifiedFolds:
         labels = self._balanced_labels()
         assert stratified_folds(labels, 5, seed=9) == stratified_folds(labels, 5, seed=9)
 
+    def test_fold_sizes_differ_by_at_most_one(self):
+        rng = np.random.default_rng(18)
+        cases = [(4, 2, 5), (2, 1, 3), (1, 1, 2)] + [
+            (int(rng.integers(1, 30)), int(rng.integers(1, 30)), int(rng.integers(2, 8))) for _ in range(40)
+        ]
+        for n_a, n_b, k in cases:
+            if n_a + n_b < k:
+                continue
+            sizes = [len(f) for f in stratified_folds(["normal"] * n_a + ["tunneling"] * n_b, k, seed=n_a)]
+            assert max(sizes) - min(sizes) <= 1, (n_a, n_b, k, sizes)
+
+    def test_multiples_of_k_deal_every_class_from_fold_zero(self):
+        # so the desk corpus (2,000 per class, k = 5) keeps the folds that
+        # acceptance criterion 4 holds out
+        def dealt_from_fold_zero(labels, k, seed):
+            rng = np.random.default_rng(seed)
+            folds = [[] for _ in range(k)]
+            for label in sorted(set(labels)):
+                idx = np.array([i for i, lbl in enumerate(labels) if lbl == label])
+                for j, i in enumerate(idx[rng.permutation(len(idx))]):
+                    folds[j % k].append(int(i))
+            return folds
+
+        labels = [s.label for s in build_corpus(desk_scale_spec(seed=2026, per_class=2000))]
+        assert stratified_folds(labels, 5, seed=2026) == dealt_from_fold_zero(labels, 5, 2026)
+        labels = self._balanced_labels()
+        assert stratified_folds(labels, 5, seed=3) == dealt_from_fold_zero(labels, 5, 3)
+
     def test_k_larger_than_dataset_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             stratified_folds(["normal", "tunneling"], 3, seed=0)
@@ -387,6 +442,14 @@ class TestKfold:
         mean_f1, sd_f1 = kfold_cross_validate(corpus, TOY_HP, cfg, k=5)
         assert mean_f1 == 1.0
         assert sd_f1 == 0.0
+
+    def test_class_missing_from_a_training_split_rejected(self, monkeypatch):
+        corpus = make_separable_corpus(2, seed=3)[:3]  # normal, tunneling, normal
+        trained = []
+        monkeypatch.setattr(training, "train", lambda *args: trained.append(args))
+        with pytest.raises(ValueError, match=r"^3-fold .* \(class counts: normal 2, tunneling 1\)$"):
+            kfold_cross_validate(corpus, TOY_HP, TrainConfig(epochs=1), k=3)
+        assert trained == []
 
 
 class TestGridSearch:
