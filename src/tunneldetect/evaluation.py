@@ -182,9 +182,12 @@ def report_to_dict(report: MetricsReport) -> dict:
 
 
 def format_report(report: MetricsReport) -> str:
-    """Human-readable metrics table."""
+    """Human-readable metrics table. The threshold shows two decimals
+    when they are exact, and otherwise its shortest repr."""
+    threshold = float(report.threshold)
+    shown = f"{threshold:.2f}" if float(f"{threshold:.2f}") == threshold else repr(threshold)
     lines = [
-        f"threshold: {report.threshold:.2f}   samples: {report.total}",
+        f"threshold: {shown}   samples: {report.total}",
         f"{'class':<12} {'precision':>9} {'recall':>9} {'fpr':>9} {'f1':>9} {'support':>8}",
     ]
     for label, m in report.per_class.items():

@@ -47,15 +47,21 @@ step); the gradients it returns leave dense1_w None, so nothing holds
 the whole dense1_w gradient. Each backward pass queues one task on a
 persistent worker thread, which calls the consumer on each block while
 backward forms the next ones in a ring of RING_SLOTS buffers; the task
-has ended by the time backward_batch returns or raises. backward_batch
-also overwrites the packed conv activations with their gradient, so a
-step holds one array of that size, not two. A thread that has trained
-keeps that array and the ring in buffers it reuses at every step, and
-holds them until it exits.
+has ended by the time backward_batch returns or raises. Backward visits
+positions heavy and light in turn, so the worker drains the long blocks
+of heavy positions while backward runs the short GEMMs of light ones.
+When nf * hn >= CACHE_BLOCK, the worker also runs the light positions'
+dense1 GEMMs of the training forward and every other tap's one-hot
+GEMM of backward, on the caller's operands and into the ring, which is
+idle then, so no bit changes. backward_batch also overwrites the packed
+conv activations with their gradient, so a step holds one array of that
+size, not two. A thread that has trained keeps that array and the ring
+in buffers it reuses at every step, and holds them until it exits.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import queue
 import threading
@@ -235,7 +241,10 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, t
     probabilities come back in input order, as float64. The cache is
     backward_batch's to consume: it overwrites cache["ac"] with the
     gradient of the conv output. With `training` (float64 weights only),
-    cache["ac"] is a view of this thread's reused activations buffer.
+    cache["ac"] is a view of this thread's reused activations buffer;
+    if nf * hn >= CACHE_BLOCK, the worker thread runs the dense1 GEMMs of
+    the tail positions that fit both in half the packed rows and in this
+    thread's ring, into the ring; z1 adds the products in position order.
 
     Without `training`, and when nf * hn >= CACHE_BLOCK (read at each
     call), the conv and each position's dense1 GEMM run over that
@@ -296,12 +305,31 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, t
     out = np.empty((batch, hp.hn), dtype)
     # pad[p] is the all-PAD window times W1[p]; pad[P] = 0 serves rows live throughout
     pad = np.zeros((hp.conv_out_len + 1, hp.hn), dtype)
-    for p, ((lo, k, m), (dlo, dm)) in enumerate(zip(blocks, dense)):
-        np.matmul(ac[dlo : dlo + dm], w1[p], out=out[:dm])
-        prod = out[:m] if inv is None else out[inv[lo : lo + m]]
-        z1[:k] += prod[:k]
-        if m > k:
-            pad[p] = prod[k]
+    tail, share = len(blocks), contextlib.nullcontext()  # the worker's positions start at tail
+    if training and hp.nf * hp.hn >= CACHE_BLOCK:
+        ring, n = _ring(hp).reshape(-1), ac.shape[0]
+        tail = next((p for p, (lo, _) in enumerate(dense) if 2 * (n - lo) <= n and (n - lo) * hp.hn <= ring.size), tail)
+        base = dense[tail][0] if tail < len(blocks) else n
+        held = ring[: (n - base) * hp.hn].reshape(-1, hp.hn)  # packed row i's product is row i - base
+
+        def tail_products():
+            for p in range(tail, len(blocks)):
+                lo, m = dense[p]
+                np.matmul(ac[lo : lo + m], w1[p], out=held[lo - base : lo - base + m])
+
+        share = _shared(tail_products)
+    with share:
+        for p, ((lo, k, m), (dlo, dm)) in enumerate(zip(blocks, dense)):
+            if p < tail:
+                np.matmul(ac[dlo : dlo + dm], w1[p], out=out[:dm])
+                prod = out[:m] if inv is None else out[inv[lo : lo + m]]
+            else:
+                if p == tail:
+                    share.free()  # the worker's products are in
+                prod = held[lo - base : lo - base + m]
+            z1[:k] += prod[:k]
+            if m > k:
+                pad[p] = prod[k]
     z1 += np.cumsum(pad[::-1], axis=0)[::-1][live]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.dense2_w + params.dense2_b[0]  # (B,)
@@ -361,6 +389,13 @@ def _buffer(name: str, size: int) -> np.ndarray:
     return buf[:size]
 
 
+def _ring(hp: Hyperparams) -> np.ndarray:
+    """This thread's ring: (slots, gradient rows per slot, hn)."""
+    rows = max(1, CACHE_BLOCK // hp.hn)
+    slots = min(RING_SLOTS, -(-hp.flat_width // rows))
+    return _buffer("ring", slots * rows * hp.hn).reshape(slots, rows, hp.hn)
+
+
 class _Handoff:
     """One backward pass's dense1_w gradient blocks on their way to the
     worker thread, where one task calls dense1_update on each, in the
@@ -417,6 +452,13 @@ class _Handoff:
             raise self.error
 
 
+def _shared(task: Callable[[], None]) -> _Handoff:
+    """A handoff whose one job runs task(): free() waits for it."""
+    share = _Handoff(lambda offset, block: task(), 1)
+    share.put(share.free(), 0, None)
+    return share
+
+
 def _mean_bce(p: np.ndarray, y: np.ndarray) -> float:
     """Mean binary cross-entropy with probabilities clamped away from 0 and 1."""
     pc = np.clip(p, BCE_EPS, 1.0 - BCE_EPS)
@@ -438,17 +480,23 @@ def backward_batch(
     must be float64: training and the gradient check are float64 only.
 
     The dense1_w gradient is formed one buffer of CACHE_BLOCK scalars
-    (or one row, if hn is larger) at a time, in flat order, and each
-    full or final buffer goes to dense1_update(flat offset, block). The
-    calls run in that order on one worker thread, under the numpy error
-    state of the caller, while backward forms the next buffers (up to
-    RING_SLOTS of them); all have returned when backward_batch returns
-    or raises. If a call raises, no later block is handed to the
-    consumer and backward_batch raises that exception. A consumer may
-    update dense1_w in place: every position's blocks are handed over
-    after the GEMMs that read its rows of dense1_w. It must not call
-    backward_batch itself. The returned dense1_w gradient is None: the
-    consumer has had every block of it.
+    (or one row, if hn is larger) at a time, and each full or final
+    buffer of flat order goes to dense1_update(flat offset, block), in
+    runs of rows // gcd(rows, nf) positions (rows: gradient rows per
+    buffer; one position at every default-grid configuration): run 0,
+    the last run, run 1, the last but one, and so on, each run's blocks
+    in flat order. The calls run in that order on one worker thread, one
+    at a time, under the numpy error state of the caller, while backward
+    forms the next buffers (up to RING_SLOTS of them); all have returned
+    when backward_batch returns or raises. If a call raises, no later
+    block is handed to the consumer and backward_batch raises that
+    exception. A consumer may update dense1_w in place: every position's
+    blocks are handed over after the GEMMs that read its rows of
+    dense1_w. It must not call backward_batch itself. The returned
+    dense1_w gradient is None: the consumer has had every block of it.
+    When nf * hn >= CACHE_BLOCK the worker also runs its shares of the
+    step (see the module docstring) under that error state, and
+    backward_batch raises their exceptions.
 
     The forward cache is consumed: each position's block of the packed
     conv activations is overwritten with its gradient once the dense1
@@ -464,77 +512,93 @@ def backward_batch(
     if xb.shape[0] != yb.shape[0]:
         raise ValueError(f"batch size mismatch: {xb.shape[0]} sequences, {yb.shape[0]} labels")
 
-    rows = max(1, CACHE_BLOCK // hp.hn)  # gradient rows per ring slot
-    with _Handoff(dense1_update, min(RING_SLOTS, -(-hp.flat_width // rows))) as handoff:
-        probs, cache = _forward_cached(params, hp, xb, training=True)
-        batch = xb.shape[0]
-        loss = _mean_bce(probs, yb)
-        order, ac, sym = cache["order"], cache["ac"], cache["sym"]
+    ring = _ring(hp)
+    rows = ring.shape[1]  # gradient rows per ring slot
+    probs, cache = _forward_cached(params, hp, xb, training=True)
+    batch = xb.shape[0]
+    loss = _mean_bce(probs, yb)
+    order, ac, sym = cache["order"], cache["ac"], cache["sym"]
 
-        dz2 = (probs[order] - yb[order]) / batch                # (B,), sorted rows
-        da1 = np.outer(dz2, params.dense2_w)                # (B, hn)
-        dz1 = da1 * (cache["z1"] > 0.0)
-        dense1_b = dz1.sum(axis=0)
+    dz2 = (probs[order] - yb[order]) / batch                # (B,), sorted rows
+    da1 = np.outer(dz2, params.dense2_w)                # (B, hn)
+    dz1 = da1 * (cache["z1"] > 0.0)
+    dense1_b = dz1.sum(axis=0)
 
-        # Position p's GEMMs take its k live rows of dz1, then, in the all-PAD
-        # window's slot k, the sum of dz1 over the rows dead at p, written into
-        # dz1 in place. Counts never grow with p, so no later position reads a
-        # row that slot overwrote. Each position's conv gradient goes to
-        # `scratch` while its dense1 GEMMs still read the activations, then
-        # over those activations, so after the loop `ac` holds dL/dconv-out.
-        dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
-        w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
-        scratch = np.empty((batch, hp.nf))
-        ring = _buffer("ring", handoff.slots * rows * hp.hn).reshape(handoff.slots, rows, hp.hn)
-        slot, filled, offset = handoff.free(), 0, 0  # ring slot being filled, its rows in use; flat offset of its first row
-        for p, (lo, k, m) in enumerate(cache["blocks"]):
-            if m > k:
-                dz1[k] = dead_sum[k]
-            np.matmul(dz1[:m], w1[p].T, out=scratch[:m])
-            a = ac[lo : lo + m]
-            r = 0
-            while r < hp.nf:
-                n = min(rows - filled, hp.nf - r)
-                np.matmul(a[:, r : r + n].T, dz1[:m], out=ring[slot, filled : filled + n])
-                filled += n
-                r += n
-                if filled == rows:
-                    handoff.put(slot, offset, ring[slot].reshape(-1))
-                    offset += rows * hp.hn
-                    slot, filled = handoff.free(), 0
-            np.multiply(scratch[:m], a > 0.0, out=a)
-        if filled:
-            handoff.put(slot, offset, ring[slot, :filled].reshape(-1))
-        dzc = ac
+    # Position p's GEMMs take its k live rows of dz1, then, in the all-PAD
+    # window's slot k, the sum of dz1 over the rows dead at p, written into
+    # dz1 in place until p is done. Each position's conv gradient goes to
+    # `scratch` while its dense1 GEMMs still read the activations, then
+    # over those activations, so after the loop `ac` holds dL/dconv-out.
+    dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
+    w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
+    scratch = np.empty((batch, hp.nf))
+    run = rows // math.gcd(rows, hp.nf)  # positions per run; a run's rows fill whole ring slots
+    runs = list(range(0, hp.conv_out_len, run))
+    with _Handoff(dense1_update, ring.shape[0]) as handoff:
+        slot, filled = handoff.free(), 0  # ring slot being filled, its rows in use
+        for start in [r for pair in zip(runs, reversed(runs)) for r in pair][: len(runs)]:
+            offset = start * hp.nf * hp.hn  # flat offset of the slot's first row
+            for p in range(start, min(start + run, hp.conv_out_len)):
+                lo, k, m = cache["blocks"][p]
+                if m > k:
+                    live, dz1[k] = dz1[k].copy(), dead_sum[k]
+                np.matmul(dz1[:m], w1[p].T, out=scratch[:m])
+                a = ac[lo : lo + m]
+                r = 0
+                while r < hp.nf:
+                    n = min(rows - filled, hp.nf - r)
+                    np.matmul(a[:, r : r + n].T, dz1[:m], out=ring[slot, filled : filled + n])
+                    filled += n
+                    r += n
+                    if filled == rows:
+                        handoff.put(slot, offset, ring[slot].reshape(-1))
+                        offset += rows * hp.hn
+                        slot, filled = handoff.free(), 0
+                np.multiply(scratch[:m], a > 0.0, out=a)
+                if m > k:
+                    dz1[k] = live
+            if filled:  # the last run's final, partial slot
+                handoff.put(slot, offset, ring[slot, :filled].reshape(-1))
+                slot, filled = handoff.free(), 0
+    dzc = ac
 
-        # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads
-        # symbol v: one GEMM per tap of a (vocab, windows) one-hot matrix with
-        # dzc. That is about vocab times the multiply-adds of a scatter-add,
-        # yet faster: at the reference config (128 desk names, 2,746 packed
-        # windows, 1 BLAS thread, numpy 2.4.6) 25 ms against 183 ms for
-        # np.add.at and for a sort + np.add.reduceat. One GEMM of all ks taps'
-        # one-hot rows is ~8 ms faster (BLAS packs dzc once, not ks times) but
-        # holds a one-hot matrix ks times larger (2.2 MB more train VmHWM).
-        vocab = params.embedding.shape[0]
-        cols = np.arange(dzc.shape[0])
-        onehot = np.zeros((vocab, dzc.shape[0]))
-        dtable = np.empty((hp.ks, vocab, hp.nf))
-        for j in range(hp.ks):
-            if j:
-                onehot[sym[j - 1], cols] = 0.0
+    # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads
+    # symbol v: one GEMM per tap of a (vocab, windows) one-hot matrix with
+    # dzc. That is about vocab times the multiply-adds of a scatter-add,
+    # yet faster: at the reference config (128 desk names, 2,746 packed
+    # windows, 1 BLAS thread, numpy 2.4.6) 25 ms against 183 ms for
+    # np.add.at and for a sort + np.add.reduceat. One GEMM of all ks taps'
+    # one-hot rows is ~8 ms faster (BLAS packs dzc once, not ks times) but
+    # holds a one-hot matrix ks times larger (2.2 MB more train VmHWM).
+    vocab, windows = params.embedding.shape[0], dzc.shape[0]
+    cols = np.arange(windows)
+    dtable = np.empty((hp.ks, vocab, hp.nf))
+
+    def tap_gemms(first, step, onehot):
+        for j in range(first, hp.ks, step):
             onehot[sym[j], cols] = 1.0
             np.matmul(onehot, dzc, out=dtable[j])
-        embedding = dtable[0] @ params.conv_w[0].T
-        for j in range(1, hp.ks):
-            embedding += dtable[j] @ params.conv_w[j].T
+            onehot[sym[j], cols] = 0.0
 
-        g = ModelParams(
-            embedding=embedding,
-            conv_w=np.matmul(params.embedding.T, dtable),   # (ks, d, nf)
-            conv_b=dzc.sum(axis=0),
-            dense1_w=None,
-            dense1_b=dense1_b,
-            dense2_w=cache["a1"].T @ dz2,
-            dense2_b=np.array([dz2.sum()]),
-        )
-        return g, loss
+    def odd_taps():  # the worker's share; its one-hot matrix in the ring, idle now the handoff has ended
+        onehot = ring.reshape(-1)[: vocab * windows] if vocab * windows <= ring.size else np.empty(vocab * windows)
+        onehot.fill(0.0)
+        tap_gemms(1, 2, onehot.reshape(vocab, windows))
+
+    shares = hp.nf * hp.hn >= CACHE_BLOCK
+    with _shared(odd_taps) if shares else contextlib.nullcontext():
+        tap_gemms(0, 2 if shares else 1, np.zeros((vocab, windows)))
+    embedding = dtable[0] @ params.conv_w[0].T
+    for j in range(1, hp.ks):
+        embedding += dtable[j] @ params.conv_w[j].T
+
+    g = ModelParams(
+        embedding=embedding,
+        conv_w=np.matmul(params.embedding.T, dtable),   # (ks, d, nf)
+        conv_b=dzc.sum(axis=0),
+        dense1_w=None,
+        dense1_b=dense1_b,
+        dense2_w=cache["a1"].T @ dz2,
+        dense2_b=np.array([dz2.sum()]),
+    )
+    return g, loss

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tunneldetect import cli, datagen, evaluation, training
+from tunneldetect import cli, datagen, evaluation, network, training
 from tunneldetect.cli import main
 from tunneldetect.model_store import load, save
 from tunneldetect.tokenizer import encoding_key
@@ -338,7 +338,14 @@ class TestTrain:
         assert not out.exists()
         assert not (tmp_path / "m.bin.manifest.json").exists()
 
-    def test_divergence_prints_only_its_error(self, tmp_path, toy_corpus_file, capsys):
+    @pytest.mark.parametrize("shares", [False, True], ids=["caller-only", "worker-shares"])
+    def test_divergence_prints_only_its_error(self, tmp_path, toy_corpus_file, capsys, monkeypatch, shares):
+        # with nf * hn at CACHE_BLOCK, the worker thread runs shares of each
+        # step's GEMMs, which must not warn either
+        hp = training.parse_grid_line(TOY_HP_FLAG)
+        assert hp.nf * hp.hn < network.CACHE_BLOCK
+        if shares:
+            monkeypatch.setattr(network, "CACHE_BLOCK", hp.nf * hp.hn)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["train", "--corpus", str(toy_corpus_file), "--out", str(tmp_path / "m.bin"),
@@ -366,6 +373,14 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "tunneling" in out
         assert scatter_path.read_text().count("\n") == 1 + 60
+
+    @pytest.mark.parametrize("threshold", ["0.999", "0.001", "0.004"])
+    def test_prints_the_threshold_it_applies(self, tmp_path, toy_corpus_file, toy_model_file, capsys, threshold):
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--model", str(toy_model_file), "--corpus", str(toy_corpus_file),
+                     "--threshold", threshold, "--report", str(report_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"threshold: {threshold}   samples: 60"
+        assert json.loads(report_path.read_text())["threshold"] == float(threshold)
 
     @pytest.mark.parametrize("per_class", [None, evaluation.SCORE_CHUNK + 19], ids=["toy", "beyond-one-chunk"])
     def test_scatter_is_float32_scoring(self, tmp_path, toy_corpus_file, toy_model_file, per_class):

@@ -5,10 +5,12 @@ import pytest
 
 from tunneldetect.datagen import LABEL_NORMAL, LABEL_TUNNELING, DomainSample, build_corpus, desk_scale_spec
 from tunneldetect.evaluation import (
+    DEFAULT_THRESHOLD,
     SCORE_CHUNK,
     compute_metrics,
     export_scatter,
     f1_score,
+    format_report,
     is_tunneling,
     per_tool_breakdown,
     predict_samples,
@@ -272,6 +274,40 @@ class TestComputeMetrics:
                 compute_metrics(samples, bad, 0.5)
         with pytest.raises(ValueError, match="0 samples"):
             compute_metrics([], probs, 0.5)
+
+
+class TestFormatReport:
+    @pytest.mark.parametrize("threshold, shown", [
+        (0.999, "0.999"),
+        (0.001, "0.001"),
+        (0.004, "0.004"),
+        (0.125, "0.125"),
+        (0.5, "0.50"),
+        (DEFAULT_THRESHOLD, "0.90"),
+        (0.25, "0.25"),
+    ])
+    def test_threshold_shows_two_decimals_only_when_they_are_exact(self, threshold, shown):
+        report = compute_metrics(*columns([make_prediction(0.9, "t"), make_prediction(0.1, "n")]), threshold)
+        assert format_report(report).splitlines()[0] == f"threshold: {shown}   samples: 2"
+
+    def test_two_decimal_thresholds_print_as_before(self):
+        # the whole table, byte for byte as printed before exact thresholds
+        # were told apart
+        preds = [make_prediction(0.95, "t", "iodine"), make_prediction(0.6, "t", "dnscat2"), make_prediction(0.2, "n")]
+        table = "class        precision    recall       fpr        f1  support\n"
+        assert format_report(compute_metrics(*columns(preds), 0.5)) == (
+            "threshold: 0.50   samples: 3\n" + table
+            + "normal          1.0000    1.0000    0.0000    1.0000        1\n"
+            "tunneling       1.0000    1.0000    0.0000    1.0000        2\n"
+            "tool detection rates:\n  dnscat2          1.0000\n  iodine           1.0000"
+        )
+        assert DEFAULT_THRESHOLD == 0.90
+        assert format_report(compute_metrics(*columns(preds), DEFAULT_THRESHOLD)) == (
+            "threshold: 0.90   samples: 3\n" + table
+            + "normal          0.5000    1.0000    0.5000    0.6667        1\n"
+            "tunneling       1.0000    0.5000    0.0000    0.6667        2\n"
+            "tool detection rates:\n  dnscat2          0.0000\n  iodine           1.0000"
+        )
 
 
 def breakdown(preds):

@@ -275,13 +275,29 @@ class TestDenseReference:
         grads, _ = backward_batch(params, hp, x, y, dense1_update=lambda off, g: blocks.append((off, g.copy())))
         assert grads.dense1_w is None
         rows = max(1, block // hp.hn)
-        offsets = [off for off, _ in blocks]
-        assert offsets == list(range(0, hp.flat_width * hp.hn, rows * hp.hn))
-        assert all(g.size == rows * hp.hn for _, g in blocks[:-1])
-        got = np.concatenate([g for _, g in blocks]).reshape(want["dense1_w"].shape)
+        assert [off for off, _ in blocks] == run_order_offsets(hp, block)
+        # every buffer is full but the one that ends the gradient
+        assert all(g.size == min(rows * hp.hn, hp.flat_width * hp.hn - off) for off, g in blocks)
+        got = np.concatenate([g for _, g in sorted(blocks, key=lambda b: b[0])]).reshape(want["dense1_w"].shape)
         assert np.abs(got - want["dense1_w"]).max() <= DENSE_REFERENCE_BOUND * np.abs(want["dense1_w"]).max()
         gathered, _ = gathered_backward(params, hp, x, y)
         np.testing.assert_array_equal(gathered.dense1_w, got)
+
+
+def run_order_offsets(hp, cache_block):
+    """Flat offsets of the dense1_w gradient blocks in the order
+    backward_batch documents: runs of rows // gcd(rows, nf) positions
+    (rows: gradient rows per block), visited run 0, the last run, run 1,
+    the last but one, ...; within a run, blocks in flat order."""
+    rows = max(1, cache_block // hp.hn)
+    run = rows // math.gcd(rows, hp.nf)
+    n = -(-hp.conv_out_len // run)
+    offsets = []
+    for i in range(n):
+        r = i // 2 if i % 2 == 0 else n - 1 - i // 2
+        first, end = r * run * hp.nf, min((r + 1) * run, hp.conv_out_len) * hp.nf
+        offsets += [row * hp.hn for row in range(first, end, rows)]
+    return offsets
 
 
 def force_distinct_windows(monkeypatch, hp):
@@ -507,7 +523,8 @@ class TestDense1Worker:
     """backward_batch hands each dense1_w gradient block to one worker
     thread; every consumer call has returned by the time backward_batch
     returns or raises. Blocks of 8 scalars give the tiny model 30 blocks,
-    more than the ring holds."""
+    more than the ring holds, and make its nf * hn (24) at least
+    CACHE_BLOCK, so the worker takes its shares of the step too."""
 
     @pytest.fixture
     def case(self, tiny_hp, tiny_model, monkeypatch):
@@ -532,10 +549,11 @@ class TestDense1Worker:
         time.sleep(0.05)
         assert calls == [0, 8, 16]
 
-        blocks = []
-        grads, _ = backward_batch(*case, dense1_update=lambda offset, g: blocks.append(g.copy()))
+        blocks = {}
+        grads, _ = backward_batch(*case, dense1_update=lambda offset, g: blocks.setdefault(offset, g.copy()))
         assert grads.dense1_w is None
-        np.testing.assert_array_equal(np.concatenate(blocks), gathered_backward(*case)[0].dense1_w.reshape(-1))
+        got = np.concatenate([blocks[offset] for offset in sorted(blocks)])
+        np.testing.assert_array_equal(got, gathered_backward(*case)[0].dense1_w.reshape(-1))
 
     def test_slow_consumer_has_finished_every_block_on_return(self, case):
         finished, threads = [], set()
@@ -547,7 +565,8 @@ class TestDense1Worker:
 
         hp = case[1]
         backward_batch(*case, dense1_update=slow)
-        assert finished == list(range(0, hp.flat_width * hp.hn, 8))
+        assert finished == run_order_offsets(hp, 8)
+        assert finished[:6] == [0, 8, 16, 216, 224, 232]  # position 0, then position 9
         assert len(threads) == 1
 
     def test_ring_holds_at_most_ring_slots_blocks_and_no_more_than_the_gradient(self):
@@ -595,10 +614,14 @@ class TestDense1Worker:
         assert activations <= peaks[0] < 1.5 * activations
         assert peaks[1] < 0.5 * activations
 
-    def test_concurrent_callers_share_the_worker_and_keep_their_bits(self, case):
+    @pytest.mark.parametrize("shares", [True, False], ids=["shares", "no-shares"])
+    def test_concurrent_callers_share_the_worker_and_keep_their_bits(self, case, shares, monkeypatch):
         # three callers and the worker on two CPUs, switching threads as
         # often as the interpreter allows: a ring slot overwritten while
         # in flight, or a block handed to another caller, changes a gradient
+        hp = case[1]
+        monkeypatch.setattr(network, "CACHE_BLOCK", 8 if shares else hp.nf * hp.hn + 1)
+        assert (hp.nf * hp.hn >= network.CACHE_BLOCK) == shares
         want = gathered_backward(*case)[0].dense1_w
         got = [[] for _ in range(3)]
 
@@ -689,6 +712,117 @@ class TestDense1Worker:
         with np.errstate(over="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             backward_batch(*case, dense1_update=overflows)
+
+
+def force_shares(monkeypatch, hp, on=True):
+    """Give the worker thread its shares of a training step of `hp` (one
+    position's dense1 block is then a cache block), or take them away."""
+    monkeypatch.setattr(network, "CACHE_BLOCK", hp.nf * hp.hn + (not on))
+
+
+def spy_on_shares(monkeypatch):
+    """The numpy error state each share task of the worker starts under,
+    one entry per task, in the order they run."""
+    seen, shared = [], network._shared
+
+    def spy(task):
+        def run():
+            seen.append(np.geterr())
+            task()
+
+        return shared(run)
+
+    monkeypatch.setattr(network, "_shared", spy)
+    return seen
+
+
+def _share_case(hp, seed=18):
+    rng = np.random.default_rng(seed)
+    params = init_params(hp, seed=9)
+    params.conv_b[:] = rng.normal(0, 0.3, size=hp.nf)
+    params.dense1_b[:] = rng.normal(0, 0.3, size=hp.hn)
+    x = _rows_of_lengths(hp, [hp.l, 0, 3, "hole", 1, hp.l // 2, hp.l, 2], rng)
+    return params, x, rng.integers(0, 2, size=len(x)).astype(float)
+
+
+class TestShares:
+    """With nf * hn >= CACHE_BLOCK, the worker thread runs the light tail
+    positions' dense1 GEMMs of the training forward and every other tap's
+    one-hot GEMM of backward. Each runs the caller's GEMMs on the same
+    operands, so outputs keep their bits; CACHE_BLOCK moves the conv's
+    row blocking too, but that is elementwise."""
+
+    @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
+    def test_training_forward_keeps_its_bits(self, hp, monkeypatch):
+        params, x, _ = _share_case(hp)
+        seen = spy_on_shares(monkeypatch)
+        out = {}
+        for on in (True, False):
+            force_shares(monkeypatch, hp, on)
+            probs, cache = _forward_cached(params, hp, x, training=True)
+            out[on] = probs, cache["z1"].copy(), cache["ac"].copy()
+        assert len(seen) == 1  # the forward share ran with the shares on only
+        for got, want in zip(out[True], out[False]):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
+    def test_gradients_keep_their_bits(self, hp, monkeypatch):
+        params, x, y = _share_case(hp)
+        seen = spy_on_shares(monkeypatch)
+        force_shares(monkeypatch, hp, on=False)
+        want, want_loss = gathered_backward(params, hp, x, y)
+        assert seen == []  # no share below a cache block
+        force_shares(monkeypatch, hp)
+        got, loss = gathered_backward(params, hp, x, y)
+        assert len(seen) == 2  # the forward's share and the one-hot share
+        assert loss == want_loss
+        for (name, g), (_, w) in zip(got.arrays(), want.arrays()):
+            if name != "dense1_w":  # its blocks are cut by CACHE_BLOCK
+                np.testing.assert_array_equal(g, w, err_msg=name)
+        _, reference, _ = dense_reference(params, hp, x, y)
+        bound = DENSE_REFERENCE_BOUND * np.abs(reference["dense1_w"]).max()
+        assert np.abs(got.dense1_w - reference["dense1_w"]).max() <= bound
+
+    def test_shares_run_under_the_callers_error_state(self, tiny_hp, monkeypatch):
+        params, x, y = _share_case(tiny_hp)
+        seen = spy_on_shares(monkeypatch)
+        force_shares(monkeypatch, tiny_hp)
+        with np.errstate(over="raise", invalid="ignore"):
+            backward_batch(params, tiny_hp, x, y, dense1_update=_discard)
+        assert [(e["over"], e["invalid"]) for e in seen] == [("raise", "ignore")] * 2
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["forward-share", "one-hot-share"])
+    def test_a_failing_share_is_raised_and_the_next_pass_works(self, tiny_hp, failing, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        params, x, y = _share_case(tiny_hp)
+        force_shares(monkeypatch, tiny_hp)
+        want = gathered_backward(params, tiny_hp, x, y)[0]
+        worker = network._worker[0]
+        shared, queued = network._shared, []
+
+        def fails(task):
+            def run():
+                if index == failing:
+                    raise Boom
+                task()
+
+            index = len(queued)
+            queued.append(index)
+            return shared(run)
+
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "_shared", fails)
+            with pytest.raises(Boom):
+                backward_batch(params, tiny_hp, x, y, dense1_update=lambda offset, g: calls.append(offset))
+        # the forward fails before the handoff; the one-hot GEMMs after it
+        assert len(calls) == (0 if failing == 0 else len(run_order_offsets(tiny_hp, network.CACHE_BLOCK)))
+        got = gathered_backward(params, tiny_hp, x, y)[0]
+        for (name, g), (_, w) in zip(got.arrays(), want.arrays()):
+            np.testing.assert_array_equal(g, w, err_msg=name)
+        assert network._worker[0] is worker and worker.is_alive()
 
 
 def test_model_scalar_count_matches_expected_shapes(tiny_hp, tiny_model):

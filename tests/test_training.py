@@ -200,8 +200,10 @@ class TestFusedStep:
     all seven blocks."""
 
     @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
-    @pytest.mark.parametrize("block", [None, 5, 96])
+    @pytest.mark.parametrize("block", [None, 5, 96, "nf*hn"])
     def test_fused_steps_equal_unfused(self, hp, block, monkeypatch):
+        if block == "nf*hn":  # the smallest block that gives the worker its shares of the step
+            block = hp.nf * hp.hn
         if block is not None:
             monkeypatch.setattr(network, "CACHE_BLOCK", block)
             monkeypatch.setattr(training, "CACHE_BLOCK", block)
