@@ -44,24 +44,26 @@ reference configuration). backward_batch forms its gradient one
 cache-sized block at a time and hands each block to the consumer its
 caller passes, which may update dense1_w in place (training's Adam
 step); the gradients it returns leave dense1_w None, so nothing holds
-the whole dense1_w gradient. Each backward pass queues one task on a
-persistent worker thread, which calls the consumer on each block while
-backward forms the next ones in a ring of RING_SLOTS buffers; the task
-has ended by the time backward_batch returns or raises. Backward visits
-positions heavy and light in turn, so the worker drains the long blocks
-of heavy positions while backward runs the short GEMMs of light ones.
-When nf * hn >= CACHE_BLOCK, the worker also runs the light positions'
-dense1 GEMMs of the training forward and every other tap's one-hot
-GEMM of backward, on the caller's operands and into the ring, which is
-idle then, so no bit changes. backward_batch also overwrites the packed
-conv activations with their gradient, so a step holds one array of that
-size, not two. A thread that has trained keeps that array and the ring
-in buffers it reuses at every step, and holds them until it exits.
+the whole dense1_w gradient. Each backward pass is one task on a
+persistent worker thread, queued before the forward and ended by the
+time backward_batch returns or raises. It runs the pass's jobs in
+order: the forward's share, a consumer call on each block while
+backward forms the next ones in a ring of RING_SLOTS buffers, then the
+one-hot share. Backward visits positions heavy and light in turn, so
+the worker drains the long blocks of heavy positions while backward
+runs the short GEMMs of light ones. The shares, queued only when nf *
+hn >= CACHE_BLOCK, are the light positions' dense1 GEMMs of the
+training forward and every other tap's one-hot GEMM of backward, on
+the caller's operands and into the ring, which is idle then, so no bit
+changes. backward_batch also overwrites the packed conv activations
+with their gradient, so a step holds one array of that size, not two.
+A thread that has trained keeps that array and the ring in buffers it
+reuses at every step, and holds them until it exits.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import math
 import queue
 import threading
@@ -230,7 +232,7 @@ def _pack(xb: np.ndarray, hp: Hyperparams):
     return order, live, list(zip(starts.tolist(), counts.tolist(), widths.tolist())), sym
 
 
-def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, training: bool = False):
+def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, step: _Step | None = None):
     """Batched forward pass keeping every activation needed by backward.
 
     The conv runs over the packed windows only (see _pack). dense1 is
@@ -240,13 +242,14 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, t
     the weights. Cached arrays are in sorted-row or packed order;
     probabilities come back in input order, as float64. The cache is
     backward_batch's to consume: it overwrites cache["ac"] with the
-    gradient of the conv output. With `training` (float64 weights only),
-    cache["ac"] is a view of this thread's reused activations buffer;
-    if nf * hn >= CACHE_BLOCK, the worker thread runs the dense1 GEMMs of
-    the tail positions that fit both in half the packed rows and in this
-    thread's ring, into the ring; z1 adds the products in position order.
+    gradient of the conv output. With the `step` of a training pass
+    (float64 weights only), cache["ac"] is a view of this thread's reused
+    activations buffer; if nf * hn >= CACHE_BLOCK, the dense1 GEMMs of the
+    tail positions that fit both in half the packed rows and in this
+    thread's ring are a job of the step, into the ring, taken at the
+    first of them; z1 adds the products in position order.
 
-    Without `training`, and when nf * hn >= CACHE_BLOCK (read at each
+    Without `step` (scoring), and when nf * hn >= CACHE_BLOCK (read at each
     call), the conv and each position's dense1 GEMM run over that
     position's distinct packed windows only, found by one lexsort on
     (position, taps) in the narrowest integer types that hold them (no
@@ -268,7 +271,7 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, t
     # reads rows dense[p] of ac, and packed window i row inv[i] of that
     # GEMM's output (with inv None, every packed window has its own row)
     conv, dense, inv = sym, [(lo, m) for lo, _, m in blocks], None
-    if not training and hp.nf * hp.hn >= CACHE_BLOCK:
+    if step is None and hp.nf * hp.hn >= CACHE_BLOCK:
         # each position's distinct windows once: sort the packed windows by
         # (position, taps), keys in the narrowest types that hold them
         positions = hp.conv_out_len
@@ -288,7 +291,7 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, t
     dtype = params.dense1_w.dtype
     table = np.matmul(params.embedding, params.conv_w)  # (ks, vocab, nf)
     shape = (conv.shape[1], hp.nf)
-    ac = _buffer("ac", math.prod(shape)).reshape(shape) if training else np.empty(shape, dtype)
+    ac = np.empty(shape, dtype) if step is None else _buffer("ac", math.prod(shape)).reshape(shape)
     # blocks of windows small enough to stay in cache while their taps add up
     rows = max(1, CACHE_BLOCK // hp.nf)
     for r in range(0, ac.shape[0], rows):
@@ -305,11 +308,12 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, t
     out = np.empty((batch, hp.hn), dtype)
     # pad[p] is the all-PAD window times W1[p]; pad[P] = 0 serves rows live throughout
     pad = np.zeros((hp.conv_out_len + 1, hp.hn), dtype)
-    tail, share = len(blocks), contextlib.nullcontext()  # the worker's positions start at tail
-    if training and hp.nf * hp.hn >= CACHE_BLOCK:
+    tail = len(blocks)  # the worker's positions start at tail
+    if step is not None and hp.nf * hp.hn >= CACHE_BLOCK:
         ring, n = _ring(hp).reshape(-1), ac.shape[0]
         tail = next((p for p, (lo, _) in enumerate(dense) if 2 * (n - lo) <= n and (n - lo) * hp.hn <= ring.size), tail)
-        base = dense[tail][0] if tail < len(blocks) else n
+    if tail < len(blocks):
+        base = dense[tail][0]
         held = ring[: (n - base) * hp.hn].reshape(-1, hp.hn)  # packed row i's product is row i - base
 
         def tail_products():
@@ -317,19 +321,18 @@ def _forward_cached(params: ModelParams, hp: Hyperparams, x_batch: np.ndarray, t
                 lo, m = dense[p]
                 np.matmul(ac[lo : lo + m], w1[p], out=held[lo - base : lo - base + m])
 
-        share = _shared(tail_products)
-    with share:
-        for p, ((lo, k, m), (dlo, dm)) in enumerate(zip(blocks, dense)):
-            if p < tail:
-                np.matmul(ac[dlo : dlo + dm], w1[p], out=out[:dm])
-                prod = out[:m] if inv is None else out[inv[lo : lo + m]]
-            else:
-                if p == tail:
-                    share.free()  # the worker's products are in
-                prod = held[lo - base : lo - base + m]
-            z1[:k] += prod[:k]
-            if m > k:
-                pad[p] = prod[k]
+        step.put("forward", tail_products)
+    for p, ((lo, k, m), (dlo, dm)) in enumerate(zip(blocks, dense)):
+        if p < tail:
+            np.matmul(ac[dlo : dlo + dm], w1[p], out=out[:dm])
+            prod = out[:m] if inv is None else out[inv[lo : lo + m]]
+        else:
+            if p == tail:
+                step.take()  # the worker's products are in
+            prod = held[lo - base : lo - base + m]
+        z1[:k] += prod[:k]
+        if m > k:
+            pad[p] = prod[k]
     z1 += np.cumsum(pad[::-1], axis=0)[::-1][live]
     a1 = np.maximum(z1, 0.0)
     z2 = a1 @ params.dense2_w + params.dense2_b[0]  # (B,)
@@ -396,67 +399,56 @@ def _ring(hp: Hyperparams) -> np.ndarray:
     return _buffer("ring", slots * rows * hp.hn).reshape(slots, rows, hp.hn)
 
 
-class _Handoff:
-    """One backward pass's dense1_w gradient blocks on their way to the
-    worker thread, where one task calls dense1_update on each, in the
-    order put, under the numpy error state of the caller (numpy keeps
-    that state per thread).
-
-    The ring's free slots are its only bookkeeping: `done` starts with
-    every slot, and the task puts each slot back once its block's call
-    has returned. Once a call has failed, the task puts back later slots
-    without calling, and free() raises that call's exception. Exit waits
-    for the task to end, so no call is running or starts once the body
-    has left the context. Then the body's exception goes through, or, if
-    the body raised none, the exception of the call that failed.
+class _Step:
+    """One training step's jobs for the worker thread, which runs them in
+    one task: each job (token, callable) in the order put, under the
+    numpy error state the caller had when it opened the step (numpy
+    keeps that state per thread), putting the token on `done` once the
+    call has returned. Once a call has failed, the task skips later jobs
+    but still puts their tokens, and take() raises that call's
+    exception. Exit waits for the task to end, so no call is running or
+    starts once the body has left the context, and the worker holds no
+    job that has finished. Then the body's exception goes through, or,
+    if the body raised none, the exception of the call that failed.
     """
 
-    def __init__(self, dense1_update: Callable[[int, np.ndarray], None], slots: int):
-        self.update, self.errs, self.slots = dense1_update, np.geterr(), slots
+    def __init__(self):
+        self.errs, self.error = np.geterr(), None
         self.jobs, self.done = queue.SimpleQueue(), queue.SimpleQueue()
-        for slot in range(slots):
-            self.done.put(slot)
-        self.error: BaseException | None = None
         _on_worker(self._work)
 
     def _work(self) -> None:
         with np.errstate(**self.errs):
-            for slot, offset, block in iter(self.jobs.get, None):
+            for token, job in iter(self.jobs.get, None):
                 if self.error is None:
                     try:
-                        self.update(offset, block)
+                        job()
                     except BaseException as exc:
                         self.error = exc
-                self.done.put(slot)
+                job = None  # no finished job is held once its token is out
+                self.done.put(token)
         self.done.put(None)
 
-    def free(self) -> int:
-        """A ring slot whose block the task is done with."""
-        slot = self.done.get()
+    def put(self, token, job: Callable[[], None]) -> None:
+        """Queue job() for the task; `token` (not None) comes back once it is done."""
+        self.jobs.put((token, job))
+
+    def take(self):
+        """The token of the oldest job not yet taken, once that job is done."""
+        token = self.done.get()
         if self.error is not None:
             raise self.error
-        return slot
+        return token
 
-    def put(self, slot: int, offset: int, block: np.ndarray) -> None:
-        self.jobs.put((slot, offset, block))
-
-    def __enter__(self) -> "_Handoff":
+    def __enter__(self) -> "_Step":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.jobs.put(None)
         while self.done.get() is not None:
             pass
-        self.update = None  # the worker may not have left the task yet, but holds no consumer
         if exc_type is None and self.error is not None:
             raise self.error
-
-
-def _shared(task: Callable[[], None]) -> _Handoff:
-    """A handoff whose one job runs task(): free() waits for it."""
-    share = _Handoff(lambda offset, block: task(), 1)
-    share.put(share.free(), 0, None)
-    return share
 
 
 def _mean_bce(p: np.ndarray, y: np.ndarray) -> float:
@@ -494,9 +486,10 @@ def backward_batch(
     blocks are handed over after the GEMMs that read its rows of
     dense1_w. It must not call backward_batch itself. The returned
     dense1_w gradient is None: the consumer has had every block of it.
-    When nf * hn >= CACHE_BLOCK the worker also runs its shares of the
-    step (see the module docstring) under that error state, and
-    backward_batch raises their exceptions.
+    The calls are jobs of the pass's one worker task; when nf * hn >=
+    CACHE_BLOCK, so are the forward's share before them and the one-hot
+    share after them (see the module docstring), under that error state,
+    and backward_batch raises their exceptions too.
 
     The forward cache is consumed: each position's block of the packed
     conv activations is overwritten with its gradient once the dense1
@@ -514,28 +507,29 @@ def backward_batch(
 
     ring = _ring(hp)
     rows = ring.shape[1]  # gradient rows per ring slot
-    probs, cache = _forward_cached(params, hp, xb, training=True)
-    batch = xb.shape[0]
-    loss = _mean_bce(probs, yb)
-    order, ac, sym = cache["order"], cache["ac"], cache["sym"]
+    with _Step() as step:
+        probs, cache = _forward_cached(params, hp, xb, step)
+        batch = xb.shape[0]
+        loss = _mean_bce(probs, yb)
+        order, ac, sym = cache["order"], cache["ac"], cache["sym"]
 
-    dz2 = (probs[order] - yb[order]) / batch                # (B,), sorted rows
-    da1 = np.outer(dz2, params.dense2_w)                # (B, hn)
-    dz1 = da1 * (cache["z1"] > 0.0)
-    dense1_b = dz1.sum(axis=0)
+        dz2 = (probs[order] - yb[order]) / batch                # (B,), sorted rows
+        da1 = np.outer(dz2, params.dense2_w)                # (B, hn)
+        dz1 = da1 * (cache["z1"] > 0.0)
+        dense1_b = dz1.sum(axis=0)
 
-    # Position p's GEMMs take its k live rows of dz1, then, in the all-PAD
-    # window's slot k, the sum of dz1 over the rows dead at p, written into
-    # dz1 in place until p is done. Each position's conv gradient goes to
-    # `scratch` while its dense1 GEMMs still read the activations, then
-    # over those activations, so after the loop `ac` holds dL/dconv-out.
-    dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
-    w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
-    scratch = np.empty((batch, hp.nf))
-    run = rows // math.gcd(rows, hp.nf)  # positions per run; a run's rows fill whole ring slots
-    runs = list(range(0, hp.conv_out_len, run))
-    with _Handoff(dense1_update, ring.shape[0]) as handoff:
-        slot, filled = handoff.free(), 0  # ring slot being filled, its rows in use
+        # Position p's GEMMs take its k live rows of dz1, then, in the all-PAD
+        # window's slot k, the sum of dz1 over the rows dead at p, written into
+        # dz1 in place until p is done. Each position's conv gradient goes to
+        # `scratch` while its dense1 GEMMs still read the activations, then
+        # over those activations, so after the loop `ac` holds dL/dconv-out.
+        dead_sum = np.cumsum(dz1[::-1], axis=0)[::-1]       # dead_sum[k] = sum of dz1[k:]
+        w1 = params.dense1_w.reshape(hp.conv_out_len, hp.nf, hp.hn)
+        scratch = np.empty((batch, hp.nf))
+        run = rows // math.gcd(rows, hp.nf)  # positions per run; a run's rows fill whole ring slots
+        runs = list(range(0, hp.conv_out_len, run))
+        # slots never handed over, then the oldest block's, taken once its call is done
+        free, filled = list(range(ring.shape[0])), 0
         for start in [r for pair in zip(runs, reversed(runs)) for r in pair][: len(runs)]:
             offset = start * hp.nf * hp.hn  # flat offset of the slot's first row
             for p in range(start, min(start + run, hp.conv_out_len)):
@@ -546,47 +540,50 @@ def backward_batch(
                 a = ac[lo : lo + m]
                 r = 0
                 while r < hp.nf:
+                    if not filled:  # a block is about to be formed
+                        slot = free.pop() if free else step.take()
                     n = min(rows - filled, hp.nf - r)
                     np.matmul(a[:, r : r + n].T, dz1[:m], out=ring[slot, filled : filled + n])
                     filled += n
                     r += n
                     if filled == rows:
-                        handoff.put(slot, offset, ring[slot].reshape(-1))
+                        step.put(slot, functools.partial(dense1_update, offset, ring[slot].reshape(-1)))
                         offset += rows * hp.hn
-                        slot, filled = handoff.free(), 0
+                        filled = 0
                 np.multiply(scratch[:m], a > 0.0, out=a)
                 if m > k:
                     dz1[k] = live
             if filled:  # the last run's final, partial slot
-                handoff.put(slot, offset, ring[slot, :filled].reshape(-1))
-                slot, filled = handoff.free(), 0
-    dzc = ac
+                step.put(slot, functools.partial(dense1_update, offset, ring[slot, :filled].reshape(-1)))
+                filled = 0
+        dzc = ac
 
-    # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads
-    # symbol v: one GEMM per tap of a (vocab, windows) one-hot matrix with
-    # dzc. That is about vocab times the multiply-adds of a scatter-add,
-    # yet faster: at the reference config (128 desk names, 2,746 packed
-    # windows, 1 BLAS thread, numpy 2.4.6) 25 ms against 183 ms for
-    # np.add.at and for a sort + np.add.reduceat. One GEMM of all ks taps'
-    # one-hot rows is ~8 ms faster (BLAS packs dzc once, not ks times) but
-    # holds a one-hot matrix ks times larger (2.2 MB more train VmHWM).
-    vocab, windows = params.embedding.shape[0], dzc.shape[0]
-    cols = np.arange(windows)
-    dtable = np.empty((hp.ks, vocab, hp.nf))
+        # dL/dtable[j][v] sums dzc over the packed windows whose tap j reads
+        # symbol v: one GEMM per tap of a (vocab, windows) one-hot matrix with
+        # dzc. That is about vocab times the multiply-adds of a scatter-add,
+        # yet faster: at the reference config (128 desk names, 2,746 packed
+        # windows, 1 BLAS thread, numpy 2.4.6) 25 ms against 183 ms for
+        # np.add.at and for a sort + np.add.reduceat. One GEMM of all ks taps'
+        # one-hot rows is ~8 ms faster (BLAS packs dzc once, not ks times) but
+        # holds a one-hot matrix ks times larger (2.2 MB more train VmHWM).
+        vocab, windows = params.embedding.shape[0], dzc.shape[0]
+        cols = np.arange(windows)
+        dtable = np.empty((hp.ks, vocab, hp.nf))
 
-    def tap_gemms(first, step, onehot):
-        for j in range(first, hp.ks, step):
-            onehot[sym[j], cols] = 1.0
-            np.matmul(onehot, dzc, out=dtable[j])
-            onehot[sym[j], cols] = 0.0
+        def tap_gemms(first, stride, onehot):
+            for j in range(first, hp.ks, stride):
+                onehot[sym[j], cols] = 1.0
+                np.matmul(onehot, dzc, out=dtable[j])
+                onehot[sym[j], cols] = 0.0
 
-    def odd_taps():  # the worker's share; its one-hot matrix in the ring, idle now the handoff has ended
-        onehot = ring.reshape(-1)[: vocab * windows] if vocab * windows <= ring.size else np.empty(vocab * windows)
-        onehot.fill(0.0)
-        tap_gemms(1, 2, onehot.reshape(vocab, windows))
+        def odd_taps():  # the worker's share; its one-hot matrix in the ring, idle once every block's call is done
+            onehot = ring.reshape(-1)[: vocab * windows] if vocab * windows <= ring.size else np.empty(vocab * windows)
+            onehot.fill(0.0)
+            tap_gemms(1, 2, onehot.reshape(vocab, windows))
 
-    shares = hp.nf * hp.hn >= CACHE_BLOCK
-    with _shared(odd_taps) if shares else contextlib.nullcontext():
+        shares = hp.nf * hp.hn >= CACHE_BLOCK
+        if shares:
+            step.put("one-hot", odd_taps)
         tap_gemms(0, 2 if shares else 1, np.zeros((vocab, windows)))
     embedding = dtable[0] @ params.conv_w[0].T
     for j in range(1, hp.ks):

@@ -389,7 +389,8 @@ class TestDistinctWindows:
     def test_training_forward_keeps_every_packed_window(self, hp, monkeypatch):
         x = encode_batch(["a1b2c3d4.t.example.com"] * 16, hp.l)
         force_distinct_windows(monkeypatch, hp)
-        _, cache = _forward_cached(init_params(hp, seed=8), hp, x, training=True)
+        with network._Step() as step:
+            _, cache = _forward_cached(init_params(hp, seed=8), hp, x, step)
         assert cache["ac"].shape[0] == sum(m for _, _, m in cache["blocks"])
 
     def test_small_models_score_every_packed_window(self):
@@ -721,18 +722,19 @@ def force_shares(monkeypatch, hp, on=True):
 
 
 def spy_on_shares(monkeypatch):
-    """The numpy error state each share task of the worker starts under,
-    one entry per task, in the order they run."""
-    seen, shared = [], network._shared
+    """The numpy error state each share job of the worker starts under,
+    one entry per job, in the order they run. A share is a step's job
+    whose token is not a ring slot."""
+    seen, put = [], network._Step.put
 
-    def spy(task):
+    def spy(step, token, job):
         def run():
             seen.append(np.geterr())
-            task()
+            job()
 
-        return shared(run)
+        put(step, token, job if isinstance(token, int) else run)
 
-    monkeypatch.setattr(network, "_shared", spy)
+    monkeypatch.setattr(network._Step, "put", spy)
     return seen
 
 
@@ -748,9 +750,10 @@ def _share_case(hp, seed=18):
 class TestShares:
     """With nf * hn >= CACHE_BLOCK, the worker thread runs the light tail
     positions' dense1 GEMMs of the training forward and every other tap's
-    one-hot GEMM of backward. Each runs the caller's GEMMs on the same
-    operands, so outputs keep their bits; CACHE_BLOCK moves the conv's
-    row blocking too, but that is elementwise."""
+    one-hot GEMM of backward, as jobs of the step's one task. Each runs
+    the caller's GEMMs on the same operands, so outputs keep their bits;
+    CACHE_BLOCK moves the conv's row blocking too, but that is
+    elementwise."""
 
     @pytest.mark.parametrize("hp", CONV_HPS, ids=CONV_IDS)
     def test_training_forward_keeps_its_bits(self, hp, monkeypatch):
@@ -759,7 +762,8 @@ class TestShares:
         out = {}
         for on in (True, False):
             force_shares(monkeypatch, hp, on)
-            probs, cache = _forward_cached(params, hp, x, training=True)
+            with network._Step() as step:
+                probs, cache = _forward_cached(params, hp, x, step)
             out[on] = probs, cache["z1"].copy(), cache["ac"].copy()
         assert len(seen) == 1  # the forward share ran with the shares on only
         for got, want in zip(out[True], out[False]):
@@ -791,7 +795,7 @@ class TestShares:
             backward_batch(params, tiny_hp, x, y, dense1_update=_discard)
         assert [(e["over"], e["invalid"]) for e in seen] == [("raise", "ignore")] * 2
 
-    @pytest.mark.parametrize("failing", [0, 1], ids=["forward-share", "one-hot-share"])
+    @pytest.mark.parametrize("failing", ["forward", "one-hot"], ids=["forward-share", "one-hot-share"])
     def test_a_failing_share_is_raised_and_the_next_pass_works(self, tiny_hp, failing, monkeypatch):
         class Boom(Exception):
             pass
@@ -800,29 +804,80 @@ class TestShares:
         force_shares(monkeypatch, tiny_hp)
         want = gathered_backward(params, tiny_hp, x, y)[0]
         worker = network._worker[0]
-        shared, queued = network._shared, []
+        put, queued = network._Step.put, []
 
-        def fails(task):
+        def fails(step, token, job):
             def run():
-                if index == failing:
-                    raise Boom
-                task()
+                raise Boom
 
-            index = len(queued)
-            queued.append(index)
-            return shared(run)
+            queued.append(token)
+            put(step, token, run if token == failing else job)
 
         calls = []
         with monkeypatch.context() as patch:
-            patch.setattr(network, "_shared", fails)
+            patch.setattr(network._Step, "put", fails)
             with pytest.raises(Boom):
                 backward_batch(params, tiny_hp, x, y, dense1_update=lambda offset, g: calls.append(offset))
-        # the forward fails before the handoff; the one-hot GEMMs after it
-        assert len(calls) == (0 if failing == 0 else len(run_order_offsets(tiny_hp, network.CACHE_BLOCK)))
+        assert failing in queued
+        # the forward fails before any block is formed; the one-hot GEMMs after every block
+        assert len(calls) == (0 if failing == "forward" else len(run_order_offsets(tiny_hp, network.CACHE_BLOCK)))
         got = gathered_backward(params, tiny_hp, x, y)[0]
         for (name, g), (_, w) in zip(got.arrays(), want.arrays()):
             np.testing.assert_array_equal(g, w, err_msg=name)
         assert network._worker[0] is worker and worker.is_alive()
+
+
+class TestOneTaskPerStep:
+    """backward_batch opens one step on the worker before the forward and
+    leaves it after the one-hot GEMMs: the forward share, the dense1_w
+    blocks and the one-hot share are jobs of one task, in that order."""
+
+    @pytest.mark.parametrize("on", [True, False], ids=["shares", "no-shares"])
+    def test_each_pass_is_one_worker_task(self, tiny_hp, on, monkeypatch):
+        params, x, y = _share_case(tiny_hp)
+        force_shares(monkeypatch, tiny_hp, on)
+        seen = spy_on_shares(monkeypatch)
+        tasks, on_worker = [], network._on_worker
+        tokens, put = [], network._Step.put
+
+        def spy(task):
+            tasks.append(task)
+            on_worker(task)
+
+        def record(step, token, job):
+            tokens.append(token if isinstance(token, str) else "block")
+            put(step, token, job)
+
+        monkeypatch.setattr(network, "_on_worker", spy)
+        monkeypatch.setattr(network._Step, "put", record)
+        blocks = ["block"] * len(run_order_offsets(tiny_hp, network.CACHE_BLOCK))
+        for passes in (1, 2):
+            tokens.clear()
+            backward_batch(params, tiny_hp, x, y, dense1_update=_discard)
+            assert len(tasks) == passes
+            assert len(seen) == 2 * passes * on  # the shares ran in that task
+            assert tokens == (["forward", *blocks, "one-hot"] if on else blocks)
+
+    @pytest.mark.parametrize("on", [True, False], ids=["shares", "no-shares"])
+    def test_the_caller_waits_for_a_slot_only_to_form_a_block(self, tiny_hp, on, monkeypatch):
+        # blocks of nf * hn scalars give the tiny model 10 blocks and an
+        # 8-slot ring; once the last block is put, no slot is waited for
+        params, x, y = _share_case(tiny_hp)
+        force_shares(monkeypatch, tiny_hp, on)
+        blocks = len(run_order_offsets(tiny_hp, network.CACHE_BLOCK))
+        slots = network._ring(tiny_hp).shape[0]
+        assert blocks > slots
+        waits, take = [], network._Step.take
+
+        def spy(step):
+            waits.append(threading.get_ident())
+            return take(step)
+
+        monkeypatch.setattr(network._Step, "take", spy)
+        for passes in (1, 2):
+            backward_batch(params, tiny_hp, x, y, dense1_update=_discard)
+            # one wait for the forward share's products, and one per block past the ring's slots
+            assert waits == [threading.get_ident()] * passes * (blocks - slots + on)
 
 
 def test_model_scalar_count_matches_expected_shapes(tiny_hp, tiny_model):
